@@ -214,10 +214,12 @@ int main(int argc, char** argv) {
   obs::Histogram* base_hist = nullptr;
   obs::Histogram* fp32_hist = nullptr;
   obs::Histogram* int8_hist = nullptr;
+  obs::Histogram* pool_hist = nullptr;
   if (!check_allocs) {
     base_hist = &registry.histogram("serving.baseline_batch_seconds");
     fp32_hist = &registry.histogram("serving.fp32_batch_seconds");
     int8_hist = &registry.histogram("serving.int8_batch_seconds");
+    pool_hist = &registry.histogram("serving.fp32_pool_batch_seconds");
   }
 
   // --- per-series baseline: the pre-engine serving path --------------------
@@ -295,7 +297,7 @@ int main(int argc, char** argv) {
     runtime::ThreadPool pool(cfg.threads);
     runtime::RunContext ctx;
     ctx.pool = &pool;
-    fp32_mt = measure(warmup, iters, batch, nullptr,
+    fp32_mt = measure(warmup, iters, batch, pool_hist,
                       [&] { fp32.score(x, out.data(), &ctx); });
     print_stats("engine_fp32_pool", fp32_mt);
   }

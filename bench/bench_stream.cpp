@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
   // --- 1b. sharded frozen equivalence --------------------------------------
   // The same frozen replay through a multi-shard ShardedPipeline with an
   // off-cadence flush: the fan-in batches differently (one merged engine
-  // call per round, single pad-to-2 at the merged batch), yet the
+  // call per round, down to single rows), yet the
   // determinism contract (DESIGN.md §15) says the anomaly set must still
   // be bit-identical to the batch detector.
   std::size_t sharded_mismatches = 0;

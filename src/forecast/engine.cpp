@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "metrics/timer.hpp"
 #include "nn/activation.hpp"
+#include "nn/lstm_kernels.hpp"
 #include "nn/quant.hpp"
 #include "runtime/workspace.hpp"
 
@@ -35,148 +36,12 @@ std::size_t roundup(std::size_t n, std::size_t m) {
   return (n + m - 1) / m * m;
 }
 
-// ---------------------------------------------------------------------
-// Fast gate nonlinearities (wide-batch fp32 and all int8 scoring).
-//
-// At the paper shape the scalar expf/tanh gate math costs more than the
-// recurrent matmul itself, so the wide-batch tier evaluates tanh as a
-// clamped odd rational P13(x)/Q6(x) (the classic single-precision
-// minimax fit used by several inference runtimes; |err| is a few float
-// ulp across the clamp range) and sigmoid via the tanh half-angle
-// identity.  SIMD lanes and the scalar tail evaluate the same Horner
-// forms, and a given gate column is always handled by the same form, so
-// results are deterministic and independent of row partitioning.
-// ---------------------------------------------------------------------
-
-constexpr float kTanhClamp = 7.90531110763549805f;
-constexpr float kTanhA1 = 4.89352455891786e-03f;
-constexpr float kTanhA3 = 6.37261928875436e-04f;
-constexpr float kTanhA5 = 1.48572235717979e-05f;
-constexpr float kTanhA7 = 5.12229709037114e-08f;
-constexpr float kTanhA9 = -8.60467152213735e-11f;
-constexpr float kTanhA11 = 2.00018790482477e-13f;
-constexpr float kTanhA13 = -2.76076847742355e-16f;
-constexpr float kTanhB0 = 4.89352518554385e-03f;
-constexpr float kTanhB2 = 2.26843463243900e-03f;
-constexpr float kTanhB4 = 1.18534705686654e-04f;
-constexpr float kTanhB6 = 1.19825839466702e-06f;
-
-inline float tanh_fast1(float x) {
-  x = std::clamp(x, -kTanhClamp, kTanhClamp);
-  const float x2 = x * x;
-  float p = kTanhA13;
-  p = p * x2 + kTanhA11;
-  p = p * x2 + kTanhA9;
-  p = p * x2 + kTanhA7;
-  p = p * x2 + kTanhA5;
-  p = p * x2 + kTanhA3;
-  p = p * x2 + kTanhA1;
-  float q = kTanhB6;
-  q = q * x2 + kTanhB4;
-  q = q * x2 + kTanhB2;
-  q = q * x2 + kTanhB0;
-  return (p * x) / q;
-}
-
-inline float sigmoid_fast1(float x) {
-  return 0.5f * tanh_fast1(0.5f * x) + 0.5f;
-}
-
-#if defined(__AVX2__)
-
-inline __m256 poly_step(__m256 p, __m256 x2, float c) {
-#if defined(__FMA__)
-  return _mm256_fmadd_ps(p, x2, _mm256_set1_ps(c));
-#else
-  return _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(c));
-#endif
-}
-
-inline __m256 mul_add(__m256 a, __m256 b, __m256 c) {
-#if defined(__FMA__)
-  return _mm256_fmadd_ps(a, b, c);
-#else
-  return _mm256_add_ps(_mm256_mul_ps(a, b), c);
-#endif
-}
-
-inline __m256 tanh_fast8(__m256 x) {
-  const __m256 clamp = _mm256_set1_ps(kTanhClamp);
-  x = _mm256_max_ps(_mm256_min_ps(x, clamp),
-                    _mm256_sub_ps(_mm256_setzero_ps(), clamp));
-  const __m256 x2 = _mm256_mul_ps(x, x);
-  __m256 p = _mm256_set1_ps(kTanhA13);
-  p = poly_step(p, x2, kTanhA11);
-  p = poly_step(p, x2, kTanhA9);
-  p = poly_step(p, x2, kTanhA7);
-  p = poly_step(p, x2, kTanhA5);
-  p = poly_step(p, x2, kTanhA3);
-  p = poly_step(p, x2, kTanhA1);
-  __m256 q = _mm256_set1_ps(kTanhB6);
-  q = poly_step(q, x2, kTanhB4);
-  q = poly_step(q, x2, kTanhB2);
-  q = poly_step(q, x2, kTanhB0);
-  return _mm256_div_ps(_mm256_mul_ps(p, x), q);
-}
-
-inline __m256 sigmoid_fast8(__m256 x) {
-  const __m256 half = _mm256_set1_ps(0.5f);
-  return mul_add(half, tanh_fast8(_mm256_mul_ps(half, x)), half);
-}
-
-#endif  // __AVX2__
-
-/// Fused gate activation + cell update for one row: reads the four gate
-/// segments of z (pre-activations), updates c and h in place.  One pass,
-/// no intermediate gate writes.  c = σ(f)·c + σ(i)·tanh(g);
-/// h = σ(o)·tanh(c).  When kTrackMax, also returns max|h| over the row —
-/// the int8 tier needs it to scale next step's activation quantization,
-/// and folding it here saves quantize_rows_u8 a full extra pass over h.
-template <bool kTrackMax>
-float fused_gates_cell(const float* zr, float* cs, float* hs, std::size_t h) {
-  float hmax = 0.0f;
-  std::size_t k = 0;
-#if defined(__AVX2__)
-  const __m256 signmask = _mm256_set1_ps(-0.0f);
-  __m256 hm = _mm256_setzero_ps();
-  for (; k + 8 <= h; k += 8) {
-    const __m256 gi = sigmoid_fast8(_mm256_loadu_ps(zr + k));
-    const __m256 gf = sigmoid_fast8(_mm256_loadu_ps(zr + h + k));
-    const __m256 gg = tanh_fast8(_mm256_loadu_ps(zr + 2 * h + k));
-    const __m256 go = sigmoid_fast8(_mm256_loadu_ps(zr + 3 * h + k));
-    const __m256 c =
-        mul_add(gf, _mm256_loadu_ps(cs + k), _mm256_mul_ps(gi, gg));
-    _mm256_storeu_ps(cs + k, c);
-    const __m256 hv = _mm256_mul_ps(go, tanh_fast8(c));
-    _mm256_storeu_ps(hs + k, hv);
-    if constexpr (kTrackMax) {
-      hm = _mm256_max_ps(hm, _mm256_andnot_ps(signmask, hv));
-    }
-  }
-  if constexpr (kTrackMax) {
-    alignas(32) float tmp[8];
-    _mm256_store_ps(tmp, hm);
-    for (int i = 0; i < 8; ++i) hmax = std::max(hmax, tmp[i]);
-  }
-#endif
-  for (; k < h; ++k) {
-    const float gi = sigmoid_fast1(zr[k]);
-    const float gf = sigmoid_fast1(zr[h + k]);
-    const float gg = tanh_fast1(zr[2 * h + k]);
-    const float go = sigmoid_fast1(zr[3 * h + k]);
-    const float c = gf * cs[k] + gi * gg;
-    cs[k] = c;
-    const float hv = go * tanh_fast1(c);
-    hs[k] = hv;
-    if constexpr (kTrackMax) hmax = std::max(hmax, std::fabs(hv));
-  }
-  return hmax;
-}
-
-/// z[r][0..zstride) = b_pad + Σ_f x[r][f]·wx_pad[f] in a single pass —
-/// replaces the memset + bias-broadcast + input-matmul trio of the exact
-/// tier.  Padding columns are zero in b_pad/wx_pad, so the z padding is
-/// always a defined 0.
+/// z[r][0..zstride) = b_pad + Σ_f x[r][f]·wx_pad[f] in a single pass:
+/// each element starts from its bias and takes one fused multiply-add per
+/// input feature in ascending order — the sequence Lstm::forward runs
+/// through tensor::matmul_acc.  Padding columns are zero in b_pad/wx_pad,
+/// so the z padding is always a defined 0.  One pass over z, where a bias
+/// copy followed by matmul_acc takes two and measured 2.5–7x slower.
 void fused_init_z(float* z, std::size_t zstride, std::size_t nb,
                   const float* xrow0, std::size_t xrow_stride, std::size_t in,
                   const std::vector<float>& b_pad,
@@ -187,24 +52,29 @@ void fused_init_z(float* z, std::size_t zstride, std::size_t nb,
     const float x0 = xr[0];
     const float* w0 = wx_pad.data();
     for (std::size_t c = 0; c < zstride; ++c) {
-      zr[c] = b_pad[c] + x0 * w0[c];
+      zr[c] = std::fma(x0, w0[c], b_pad[c]);
     }
     for (std::size_t f = 1; f < in; ++f) {
       const float xv = xr[f];
       const float* wf = wx_pad.data() + f * zstride;
-      for (std::size_t c = 0; c < zstride; ++c) zr[c] += xv * wf[c];
+      for (std::size_t c = 0; c < zstride; ++c) {
+        zr[c] = std::fma(xv, wf[c], zr[c]);
+      }
     }
   }
 }
 
-#if defined(__AVX2__)
 /// Register-blocked recurrent GEMM on the packed panel layout:
 /// z[r][p·32..p·32+32) += h[r]·wh_panel(p).  Panels are looped outermost
 /// so a ~H·32-float weight panel stays L1-resident across every row of
 /// the batch (the naive row-major kernel re-streams the whole 4H·H
 /// kernel from L2 per row, which is what made it memory-bound).  Two
-/// rows share each weight load; per-column accumulation is ascending-k,
-/// so results are independent of the row partition.
+/// rows share each weight load.  Each element runs fma over ascending k
+/// from its z value — the tensor::matmul_acc sequence, so the result is
+/// bit-identical to that kernel and independent of the row partition.
+/// Builds without AVX2+FMA run matmul_acc on each panel instead.  The
+/// generic kernel over the unpacked [H, 4H] matrix measured up to 1.5x
+/// slower here (DESIGN.md §13).
 void gemm_f32_panels(const float* hbuf, std::size_t h, float* z,
                      std::size_t zstride, std::size_t nb,
                      const std::vector<float>& panels) {
@@ -213,6 +83,7 @@ void gemm_f32_panels(const float* hbuf, std::size_t h, float* z,
     const float* wpanel = panels.data() + p * h * kPanelF32;
     const std::size_t j = p * kPanelF32;
     std::size_t r = 0;
+#if defined(__AVX2__) && defined(__FMA__)
     for (; r + 2 <= nb; r += 2) {
       const float* h0 = hbuf + r * h;
       const float* h1 = h0 + h;
@@ -234,14 +105,14 @@ void gemm_f32_panels(const float* hbuf, std::size_t h, float* z,
         const __m256 w3 = _mm256_loadu_ps(wk + 24);
         const __m256 b0 = _mm256_set1_ps(h0[k]);
         const __m256 b1 = _mm256_set1_ps(h1[k]);
-        a00 = mul_add(b0, w0, a00);
-        a01 = mul_add(b0, w1, a01);
-        a02 = mul_add(b0, w2, a02);
-        a03 = mul_add(b0, w3, a03);
-        a10 = mul_add(b1, w0, a10);
-        a11 = mul_add(b1, w1, a11);
-        a12 = mul_add(b1, w2, a12);
-        a13 = mul_add(b1, w3, a13);
+        a00 = _mm256_fmadd_ps(b0, w0, a00);
+        a01 = _mm256_fmadd_ps(b0, w1, a01);
+        a02 = _mm256_fmadd_ps(b0, w2, a02);
+        a03 = _mm256_fmadd_ps(b0, w3, a03);
+        a10 = _mm256_fmadd_ps(b1, w0, a10);
+        a11 = _mm256_fmadd_ps(b1, w1, a11);
+        a12 = _mm256_fmadd_ps(b1, w2, a12);
+        a13 = _mm256_fmadd_ps(b1, w3, a13);
       }
       _mm256_storeu_ps(z0, a00);
       _mm256_storeu_ps(z0 + 8, a01);
@@ -262,19 +133,25 @@ void gemm_f32_panels(const float* hbuf, std::size_t h, float* z,
       const float* wk = wpanel;
       for (std::size_t k = 0; k < h; ++k, wk += kPanelF32) {
         const __m256 b0 = _mm256_set1_ps(h0[k]);
-        a00 = mul_add(b0, _mm256_loadu_ps(wk), a00);
-        a01 = mul_add(b0, _mm256_loadu_ps(wk + 8), a01);
-        a02 = mul_add(b0, _mm256_loadu_ps(wk + 16), a02);
-        a03 = mul_add(b0, _mm256_loadu_ps(wk + 24), a03);
+        a00 = _mm256_fmadd_ps(b0, _mm256_loadu_ps(wk), a00);
+        a01 = _mm256_fmadd_ps(b0, _mm256_loadu_ps(wk + 8), a01);
+        a02 = _mm256_fmadd_ps(b0, _mm256_loadu_ps(wk + 16), a02);
+        a03 = _mm256_fmadd_ps(b0, _mm256_loadu_ps(wk + 24), a03);
       }
       _mm256_storeu_ps(z0, a00);
       _mm256_storeu_ps(z0 + 8, a01);
       _mm256_storeu_ps(z0 + 16, a02);
       _mm256_storeu_ps(z0 + 24, a03);
     }
+#endif  // __AVX2__ && __FMA__
+    if (r < nb) {
+      tensor::matmul_acc(ConstMatView{hbuf + r * h, nb - r, h, h},
+                         ConstMatView{wpanel, h, kPanelF32, kPanelF32},
+                         MatView{z + r * zstride + j, nb - r, kPanelF32,
+                                 zstride});
+    }
   }
 }
-#endif  // __AVX2__
 
 /// Quantize activation rows for the unsigned int8 kernel: per-row
 /// symmetric scale maxabs/127 (dynamic — no calibration pass; hmax[r] =
@@ -340,7 +217,7 @@ void gemm_u8s7(const std::uint8_t* aq, std::size_t a_stride,
     const std::size_t kq_b = (cnt + kQuad - 1) / kQuad;
     const float* ws = w.scales.data() + kb * w.padded_cols;
     const std::int32_t* fix = w.colsum128.data() + kb * w.padded_cols;
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
     // Panels outermost, then 4-row groups: the ~kq_b·64-byte weight panel
     // and the per-panel fixup/scale vectors are loaded once per four rows
     // instead of once per row.  The integer dots are exact, so a row's
@@ -361,11 +238,12 @@ void gemm_u8s7(const std::uint8_t* aq, std::size_t a_stride,
         const __m256 asv = _mm256_set1_ps(ascale[r]);
         const __m256 d0 = _mm256_cvtepi32_ps(_mm256_sub_epi32(acc0, f0));
         const __m256 d1 = _mm256_cvtepi32_ps(_mm256_sub_epi32(acc1, f1));
-        _mm256_storeu_ps(zrow + j, mul_add(d0, _mm256_mul_ps(asv, ws0),
-                                           _mm256_loadu_ps(zrow + j)));
+        _mm256_storeu_ps(zrow + j,
+                         _mm256_fmadd_ps(d0, _mm256_mul_ps(asv, ws0),
+                                         _mm256_loadu_ps(zrow + j)));
         _mm256_storeu_ps(zrow + j + 8,
-                         mul_add(d1, _mm256_mul_ps(asv, ws1),
-                                 _mm256_loadu_ps(zrow + j + 8)));
+                         _mm256_fmadd_ps(d1, _mm256_mul_ps(asv, ws1),
+                                         _mm256_loadu_ps(zrow + j + 8)));
       };
       std::size_t r = 0;
       for (; r + 4 <= nb; r += 4) {
@@ -448,7 +326,7 @@ void gemm_u8s7(const std::uint8_t* aq, std::size_t a_stride,
           acc += a_s * static_cast<std::int32_t>(
                            wp[(kk / kQuad) * 64 + lane * kQuad + kk % kQuad]);
         }
-        zrow[j] += static_cast<float>(acc) * (as * ws[j]);
+        zrow[j] = std::fma(static_cast<float>(acc), as * ws[j], zrow[j]);
       }
     }
 #endif
@@ -563,23 +441,23 @@ void Engine::freeze_into(Snapshot& snap, const std::vector<float>& flat) {
   snap.zstride = roundup(g4, kPanelF32);
   // Biases stay fp32 in both modes: they are O(params/50) bytes and
   // quantizing them buys nothing.
-  assign_mat(snap.b, 1, g4, b);
   assign_mat(snap.b1, 1, d, b1);
   assign_mat(snap.b2, 1, 1, b2);
+  const float* wx_src = wx;
   if (snap.quantized) {
-    quant_roundtrip(snap.wx, in, g4, wx);
+    // wx/w1/w2 are served round-tripped through the int8 grid, so the
+    // snapshot serves the weights it advertises.
+    quant_roundtrip(freeze_wx_, in, g4, wx);
+    wx_src = freeze_wx_.data();
     quant_roundtrip(snap.w1, h, d, w1);
     quant_roundtrip(snap.w2, d, 1, w2);
     build_quant_mat(wh, h, g4, snap.wh_q, freeze_col_, freeze_scales_,
                     freeze_quants_);
-    snap.wh = tensor::Matrix();
     snap.wh_panels.clear();
   } else {
-    assign_mat(snap.wx, in, g4, wx);
-    assign_mat(snap.wh, h, g4, wh);
     assign_mat(snap.w1, h, d, w1);
     assign_mat(snap.w2, d, 1, w2);
-    // Packed panels for the register-blocked wide-batch GEMM
+    // Packed panels for the register-blocked recurrent GEMM
     // ([panel][k][32], zero-padded columns).
     snap.wh_panels.assign(snap.zstride * h, 0.0f);
     for (std::size_t p = 0; p < snap.zstride / kPanelF32; ++p) {
@@ -593,13 +471,10 @@ void Engine::freeze_into(Snapshot& snap, const std::vector<float>& flat) {
       }
     }
   }
-  // Padded bias / input kernel for the fused wide-batch z-init.  Under
-  // kInt8 these come from the round-tripped wx so the fast tier serves
-  // the same weights the snapshot advertises.
+  // Bias and input kernel zero-padded to zstride for the z-init.
   snap.b_pad.assign(snap.zstride, 0.0f);
   std::memcpy(snap.b_pad.data(), b, g4 * sizeof(float));
   snap.wx_pad.assign(in * snap.zstride, 0.0f);
-  const float* wx_src = snap.quantized ? snap.wx.data() : wx;
   for (std::size_t f = 0; f < in; ++f) {
     std::memcpy(snap.wx_pad.data() + f * snap.zstride, wx_src + f * g4,
                 g4 * sizeof(float));
@@ -659,11 +534,6 @@ void Engine::score_prefix(const tensor::Tensor3& x, std::size_t rows,
   EVFL_REQUIRE(x.time() > 0, "Engine::score needs time >= 1");
 
   metrics::WallTimer timer;
-  // Tier selection happens here, from the FULL batch size — batch-of-1
-  // fp32 runs the reference scalar path (bit-identical to predict), wide
-  // batches and int8 run the vectorized kernels.  Chunk sizes from
-  // parallel_for never re-enter this decision.
-  const bool exact = cfg_.precision == ServePrecision::kFp32 && batch == 1;
   const std::uint32_t slot = acquire_slot();
   const Snapshot& snap = slots_[slot];
   if (ctx != nullptr && ctx->parallel() && batch > 1) {
@@ -671,10 +541,10 @@ void Engine::score_prefix(const tensor::Tensor3& x, std::size_t rows,
     // partition is deterministic regardless of schedule.
     ctx->parallel_for(batch, ctx->grain_for(batch),
                       [&](std::size_t b0, std::size_t b1) {
-                        score_rows(snap, x, out, b0, b1, exact);
+                        score_rows(snap, x, out, b0, b1);
                       });
   } else {
-    score_rows(snap, x, out, 0, batch, exact);
+    score_rows(snap, x, out, 0, batch);
   }
   readers_[slot].fetch_sub(1, std::memory_order_release);
 
@@ -691,12 +561,11 @@ void Engine::score(const tensor::Tensor3& x, std::vector<float>& out,
 
 void Engine::score_rows(const Snapshot& snap, const tensor::Tensor3& x,
                         float* out, std::size_t row_begin,
-                        std::size_t row_end, bool exact) const {
+                        std::size_t row_end) const {
   const std::size_t nb = row_end - row_begin;
   const std::size_t h = model_.lstm_units;
   const std::size_t in = model_.input_features;
   const std::size_t d = model_.dense_units;
-  const std::size_t g4 = 4 * h;
   const std::size_t zstride = snap.zstride;
   const std::size_t t_len = x.time();
 
@@ -719,93 +588,27 @@ void Engine::score_rows(const Snapshot& snap, const tensor::Tensor3& x,
     hmax = scratch.borrow_zeroed(nb);  // max|h_0| = 0
   }
 
-  const MatView zv{z, nb, g4, zstride};
   const ConstMatView hv{hbuf, nb, h, h};
   const float* x0 = x.data() + row_begin * t_len * in;
 
-  if (exact) {
-    // Reference tier (fp32 batch-of-1): the exact op sequence of
-    // Lstm::forward (set_zero, add_row_broadcast, two accumulating
-    // matmuls on the same view kernels, scalar sigmoidf/tanh), so the
-    // output is bit-identical to training-path inference.
-    float* xt = scratch.borrow(nb * in);
-    float* ctbuf = scratch.borrow(nb * h);
-    const ConstMatView xtv{xt, nb, in, in};
-    const float* bptr = snap.b.data();
-    for (std::size_t t = 0; t < t_len; ++t) {
+  // Lstm::forward's step on the serving layout: z = b + x·Wx, the
+  // recurrent GEMM on packed panels (both the per-element FMA sequence of
+  // tensor::matmul_acc) or int8 codes, then the shared gate kernel.
+  for (std::size_t t = 0; t < t_len; ++t) {
+    fused_init_z(z, zstride, nb, x0 + t * in, t_len * in, in, snap.b_pad,
+                 snap.wx_pad);
+    if (snap.quantized) {
+      quantize_rows_u8(hbuf, h, nb, hmax, aq, ascale, snap.wh_q.padded_k);
+      gemm_u8s7(aq, snap.wh_q.padded_k, ascale, nb, snap.wh_q, z, zstride);
       for (std::size_t r = 0; r < nb; ++r) {
-        std::memcpy(xt + r * in, x0 + (r * t_len + t) * in,
-                    in * sizeof(float));
+        hmax[r] = nn::lstm_cell_row<false, true>(
+            z + r * zstride, cbuf + r * h, hbuf + r * h, nullptr, h);
       }
+    } else {
+      gemm_f32_panels(hbuf, h, z, zstride, nb, snap.wh_panels);
       for (std::size_t r = 0; r < nb; ++r) {
-        std::memset(z + r * zstride, 0, g4 * sizeof(float));
-      }
-      for (std::size_t r = 0; r < nb; ++r) {
-        float* zrow = z + r * zstride;
-        for (std::size_t c = 0; c < g4; ++c) zrow[c] += bptr[c];
-      }
-      tensor::matmul_acc(xtv, snap.wx.view(), zv);
-      tensor::matmul_acc(hv, snap.wh.view(), zv);
-      for (std::size_t r = 0; r < nb; ++r) {
-        float* zrow = z + r * zstride;
-        for (std::size_t c = 0; c < 2 * h; ++c) {
-          zrow[c] = nn::sigmoidf(zrow[c]);
-        }
-        for (std::size_t c = 2 * h; c < 3 * h; ++c) {
-          zrow[c] = std::tanh(zrow[c]);
-        }
-        for (std::size_t c = 3 * h; c < 4 * h; ++c) {
-          zrow[c] = nn::sigmoidf(zrow[c]);
-        }
-      }
-      // c = f ⊙ c_prev + i ⊙ g ;  h = o ⊙ tanh(c)
-      for (std::size_t r = 0; r < nb; ++r) {
-        const float* zi = z + r * zstride;
-        const float* zf = zi + h;
-        const float* zg = zi + 2 * h;
-        float* cs = cbuf + r * h;
-        for (std::size_t c = 0; c < h; ++c) {
-          cs[c] = zf[c] * cs[c] + zi[c] * zg[c];
-        }
-      }
-      for (std::size_t r = 0; r < nb; ++r) {
-        const float* cs = cbuf + r * h;
-        float* ct = ctbuf + r * h;
-        for (std::size_t c = 0; c < h; ++c) ct[c] = std::tanh(cs[c]);
-      }
-      for (std::size_t r = 0; r < nb; ++r) {
-        const float* zo = z + r * zstride + 3 * h;
-        const float* ct = ctbuf + r * h;
-        float* hs = hbuf + r * h;
-        for (std::size_t c = 0; c < h; ++c) hs[c] = zo[c] * ct[c];
-      }
-    }
-  } else {
-    // Wide-batch tier: fused z-init, register-blocked (or integer)
-    // recurrent GEMM, fused rational gates + cell update.
-    for (std::size_t t = 0; t < t_len; ++t) {
-      fused_init_z(z, zstride, nb, x0 + t * in, t_len * in, in, snap.b_pad,
-                   snap.wx_pad);
-      if (snap.quantized) {
-        quantize_rows_u8(hbuf, h, nb, hmax, aq, ascale, snap.wh_q.padded_k);
-        gemm_u8s7(aq, snap.wh_q.padded_k, ascale, nb, snap.wh_q, z, zstride);
-      } else {
-#if defined(__AVX2__)
-        gemm_f32_panels(hbuf, h, z, zstride, nb, snap.wh_panels);
-#else
-        tensor::matmul_acc(hv, snap.wh.view(), zv);
-#endif
-      }
-      if (snap.quantized) {
-        for (std::size_t r = 0; r < nb; ++r) {
-          hmax[r] = fused_gates_cell<true>(z + r * zstride, cbuf + r * h,
-                                           hbuf + r * h, h);
-        }
-      } else {
-        for (std::size_t r = 0; r < nb; ++r) {
-          fused_gates_cell<false>(z + r * zstride, cbuf + r * h, hbuf + r * h,
-                                  h);
-        }
+        nn::lstm_cell_row<false>(z + r * zstride, cbuf + r * h, hbuf + r * h,
+                                 nullptr, h);
       }
     }
   }

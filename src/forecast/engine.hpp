@@ -9,27 +9,24 @@
 //  - freezes a trained forecaster's flat weight vector into an immutable
 //    Snapshot (fp32, or int8 block-quantized on the nn/quant.hpp grid the
 //    wire codec uses);
-//  - scores B series per call through the same fused [B, 4H] gate blocks
-//    and cache-blocked matmul kernels as training, with all temporaries
-//    borrowed from the per-thread runtime::Workspace lane — zero heap
-//    allocations per batch after warmup;
+//  - scores B series per call on the training forward's kernels — the
+//    float-FMA GEMM sequence and the shared nn/lstm_kernels.hpp gates —
+//    with all temporaries borrowed from the per-thread runtime::Workspace
+//    lane: zero heap allocations per batch after warmup;
 //  - double-buffers snapshots: publish() freezes into the inactive slot
 //    and flips an atomic index, so readers never block on a swap (the
 //    single publisher waits for stragglers on the slot it reuses);
 //  - records batch latency (obs::Histogram p50/p99) and forecasts/sec
 //    counters into an optional obs::Registry.
 //
-// Determinism and precision tiers: a batch-of-1 fp32 score replicates
-// Lstm/Dense forward op-for-op on the same kernels — bit-identical to the
-// single-series Sequential::predict result.  Wide batches (and all int8
-// scoring) switch the gate nonlinearities to a vectorized rational
-// tanh/sigmoid (|err| ~1e-7, the dominant serving cost otherwise: scalar
-// expf/tanh are ~60% of forward time at the paper shape), so a wide-batch
-// row agrees with predict to ~1e-5 rather than bitwise.  Both tiers are
-// individually deterministic: a row's result depends only on its own data
-// and the tier, never on batch composition or thread schedule (rows are
+// Determinism: an fp32 score is bit-identical to Sequential::predict at
+// every batch width.  Every z element runs the same fused multiply-add
+// sequence as Lstm::forward (bias, then ascending k over x·Wx and h·Wh)
+// and the gates are the same functions, so a row's result depends only on
+// its own data — never on batch composition or thread schedule (rows are
 // independent; output order is index order; serial == pool-parallel
-// bitwise within a tier).
+// bitwise).  int8 snapshots follow the same rules against their own
+// quantized weights.
 #pragma once
 
 #include <atomic>
@@ -136,8 +133,7 @@ class Engine {
   /// streaming caller keeps one warm max_batch staging tensor and fills
   /// however many zone windows became ready this flush, so scoring a
   /// partial batch must not require reshaping (and reallocating) the
-  /// staging buffer.  Tier selection sees `rows` as the batch size, so a
-  /// one-row prefix runs the exact fp32 tier just like a one-row tensor.
+  /// staging buffer.
   void score_prefix(const tensor::Tensor3& x, std::size_t rows, float* out,
                     const runtime::RunContext* ctx = nullptr);
 
@@ -145,24 +141,20 @@ class Engine {
   const EngineConfig& config() const { return cfg_; }
 
  private:
-  /// One frozen weight set.  Compute weights are fp32 except the dominant
-  /// recurrent kernel wh, which stays quantized under kInt8 (wx/w1/w2 are
-  /// round-tripped through the int8 grid at freeze time, then dequantized
-  /// — they are <10% of the parameters, so fp32 compute there costs
-  /// nothing while keeping one code path).  The wide-batch tier reads the
-  /// packed views: b_pad/wx_pad are the bias and input kernel zero-padded
-  /// to the padded gate stride (zstride = 4H rounded up to 32) so the
-  /// fused z-init writes whole padded rows, and wh_panels repacks wh into
-  /// L1-resident 32-column panels ([panel][k][32]) so the register-blocked
-  /// GEMM streams contiguous weights for every row of the batch.
+  /// One frozen weight set in the serving layout.  b_pad/wx_pad are the
+  /// LSTM bias and input kernel zero-padded to the gate stride (zstride =
+  /// 4H rounded up to 32); the recurrent kernel is either repacked into
+  /// L1-resident 32-column panels ([panel][k][32], fp32) or quantized
+  /// (kInt8).  Under kInt8, wx/w1/w2 are round-tripped through the int8
+  /// grid at freeze time and dequantized — they are <10% of the
+  /// parameters, so fp32 compute there costs nothing.
   struct Snapshot {
-    tensor::Matrix wx, wh, b;   // lstm (wh empty under kInt8)
-    tensor::Matrix w1, b1;      // dense(relu)
-    tensor::Matrix w2, b2;      // dense(linear)
     std::vector<float> b_pad;      // [zstride]
     std::vector<float> wx_pad;     // [input_features][zstride]
     std::vector<float> wh_panels;  // [zstride/32][H][32] (fp32 only)
     detail::QuantMat wh_q;         // quantized recurrent kernel (kInt8)
+    tensor::Matrix w1, b1;         // dense(relu)
+    tensor::Matrix w2, b2;         // dense(linear)
     std::size_t zstride = 0;
     bool quantized = false;
   };
@@ -171,13 +163,8 @@ class Engine {
   void quant_roundtrip(tensor::Matrix& m, std::size_t rows, std::size_t cols,
                        const float* src);
   std::uint32_t acquire_slot();
-  /// `exact` selects the reference scalar gate path (batch-of-1 fp32
-  /// bit-identity contract); it is decided once per score() call from the
-  /// FULL batch size, never per row chunk, so serial and pool-parallel
-  /// partitions always run the same tier.
   void score_rows(const Snapshot& snap, const tensor::Tensor3& x, float* out,
-                  std::size_t row_begin, std::size_t row_end,
-                  bool exact) const;
+                  std::size_t row_begin, std::size_t row_end) const;
 
   ForecasterConfig model_;
   EngineConfig cfg_;
@@ -188,6 +175,7 @@ class Engine {
   std::atomic<std::uint64_t> version_{0};
 
   // publish-time scratch (single publisher, reused across rounds)
+  tensor::Matrix freeze_wx_;
   std::vector<float> freeze_col_;
   std::vector<float> freeze_scales_;
   std::vector<std::int8_t> freeze_quants_;

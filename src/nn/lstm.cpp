@@ -1,8 +1,8 @@
 #include "nn/lstm.hpp"
 
-#include <cmath>
+#include <algorithm>
 
-#include "nn/activation.hpp"
+#include "nn/lstm_kernels.hpp"
 #include "tensor/init.hpp"
 
 namespace evfl::nn {
@@ -73,39 +73,22 @@ Tensor3 Lstm::forward(const Tensor3& input, bool /*training*/) {
     sc.h_prev = h_state_;  // same-shape copy: storage reused, no alloc
     sc.c_prev = c_state_;
 
-    // Fused pre-activation Z = x·Wx + h·Wh + b, activated in place so the
-    // gate blocks [i | f | g | o] live inside z with stride 4H.
+    // Fused pre-activation Z = b + x·Wx + h·Wh: each element starts from
+    // its bias and accumulates by FMA in ascending k (tensor/matrix.hpp).
     ensure_shape(sc.z, n, 4 * h);
-    sc.z.set_zero();
-    sc.z.add_row_broadcast(b_);
+    for (std::size_t r = 0; r < n; ++r) {
+      std::copy(b_.data(), b_.data() + 4 * h, sc.z.row(r));
+    }
     matmul_acc(sc.x, wx_, sc.z);
     matmul_acc(sc.h_prev, wh_, sc.z);
 
+    // Gates activated in place ([i | f | g | o] blocks of z, stride 4H),
+    // c = f ⊙ c_prev + i ⊙ g, h = o ⊙ tanh(c), tanh(c) kept for BPTT —
+    // the serving engine's kernel, so both paths produce the same bits.
+    sc.c_tanh = c_state_;  // takes c's shape in retained capacity
     for (std::size_t r = 0; r < n; ++r) {
-      float* zrow = sc.z.row(r);
-      for (std::size_t c = 0; c < 2 * h; ++c) zrow[c] = sigmoidf(zrow[c]);
-      for (std::size_t c = 2 * h; c < 3 * h; ++c) zrow[c] = std::tanh(zrow[c]);
-      for (std::size_t c = 3 * h; c < 4 * h; ++c) zrow[c] = sigmoidf(zrow[c]);
-    }
-
-    // c = f ⊙ c_prev + i ⊙ g ;  h = o ⊙ tanh(c)
-    for (std::size_t r = 0; r < n; ++r) {
-      const float* zi = sc.z.row(r);
-      const float* zf = zi + h;
-      const float* zg = zi + 2 * h;
-      const float* cp = sc.c_prev.row(r);
-      float* cs = c_state_.row(r);
-      for (std::size_t c = 0; c < h; ++c) {
-        cs[c] = zf[c] * cp[c] + zi[c] * zg[c];
-      }
-    }
-    sc.c_tanh = c_state_;
-    apply_activation(Activation::kTanh, sc.c_tanh);
-    for (std::size_t r = 0; r < n; ++r) {
-      const float* zo = sc.z.row(r) + 3 * h;
-      const float* ct = sc.c_tanh.row(r);
-      float* hs = h_state_.row(r);
-      for (std::size_t c = 0; c < h; ++c) hs[c] = zo[c] * ct[c];
+      lstm_cell_row<true>(sc.z.row(r), c_state_.row(r), h_state_.row(r),
+                          sc.c_tanh.row(r), h);
     }
 
     if (return_sequences_) {

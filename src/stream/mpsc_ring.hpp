@@ -194,6 +194,9 @@ class MpscRing {
   /// producers on the mutex while in-flight ones finish against the old
   /// buffer; with `writers_ == 0` every issued ticket has committed, so
   /// the relocation sees only complete values and may renumber freely.
+  /// A shrink is skipped when more than `new_cap` entries are live by
+  /// then: fast-path producers can refill the ring between drain()'s
+  /// emptiness check and the gate.  A grow always fits (count <= cap).
   void swap_buffer_locked(std::size_t new_cap) {
     gate_.store(true, std::memory_order_seq_cst);
     while (writers_.load(std::memory_order_seq_cst) != 0) {
@@ -203,7 +206,10 @@ class MpscRing {
     const std::size_t cap = cap_.load(std::memory_order_relaxed);
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t count = tail - head_;
-    EVFL_ASSERT(count <= new_cap, "MpscRing swap would lose entries");
+    if (count > new_cap) {
+      gate_.store(false, std::memory_order_seq_cst);
+      return;
+    }
     auto fresh = make_slots(new_cap, 0);
     for (std::uint64_t i = 0; i < count; ++i) {
       fresh[i].value = std::move(old[(head_ + i) % cap].value);

@@ -21,11 +21,10 @@ StreamPipeline::StreamPipeline(forecast::Engine& engine,
   EVFL_REQUIRE(cfg_.flush_batch >= 1, "StreamPipeline needs flush_batch >= 1");
   EVFL_REQUIRE(engine_.model_config().input_features == 1,
                "StreamPipeline ingests univariate series");
-  // Rounds stage at most one sample per zone, and single-row rounds pad to
-  // two rows so every score runs the wide tier (see header).
-  const std::size_t batch = std::max<std::size_t>(2, cfg_.max_zones);
+  // Rounds stage at most one sample per zone.
+  const std::size_t batch = cfg_.max_zones;
   EVFL_REQUIRE(engine_.config().max_batch >= batch,
-               "StreamPipeline needs engine max_batch >= max(2, max_zones)");
+               "StreamPipeline needs engine max_batch >= max_zones");
   staging_ = tensor::Tensor3(batch, lookback_, 1);
   scores_.assign(batch, 0.0f);
   row_zone_.assign(batch, 0);
@@ -121,15 +120,7 @@ std::size_t StreamPipeline::flush(const runtime::RunContext* ctx) {
     }
     if (rows == 0) continue;
 
-    // Pad single-row rounds so the engine always takes the wide tier (see
-    // header: tier uniformity is what makes frozen-threshold streaming
-    // bit-identical to batch_scores()).
-    std::size_t score_rows = rows;
-    if (rows == 1) {
-      staging_.copy_sample_into(0, staging_, 1);
-      score_rows = 2;
-    }
-    engine_.score_prefix(staging_, score_rows, scores_.data(), ctx);
+    engine_.score_prefix(staging_, rows, scores_.data(), ctx);
 
     round_events_.clear();
     for (std::size_t r = 0; r < rows; ++r) {
@@ -214,11 +205,9 @@ std::vector<float> batch_scores(forecast::Engine& engine,
   EVFL_REQUIRE(series.size() > lookback,
                "batch_scores: series no longer than the lookback");
   const std::size_t max_batch = engine.config().max_batch;
-  EVFL_REQUIRE(max_batch >= 2, "batch_scores: engine max_batch must be >= 2");
 
   const std::size_t n = series.size() - lookback;
-  tensor::Tensor3 x(std::max<std::size_t>(2, std::min(n, max_batch)), lookback,
-                    1);
+  tensor::Tensor3 x(std::min(n, max_batch), lookback, 1);
   std::vector<float> forecasts(x.batch(), 0.0f);
   std::vector<float> out(n, 0.0f);
 
@@ -230,13 +219,7 @@ std::vector<float> batch_scores(forecast::Engine& engine,
       const float* src = series.data() + done + r;
       std::copy(src, src + lookback, dst);
     }
-    // Same wide-tier rule as the stream: never score a 1-row batch.
-    std::size_t score_rows = rows;
-    if (rows == 1) {
-      x.copy_sample_into(0, x, 1);
-      score_rows = 2;
-    }
-    engine.score_prefix(x, score_rows, forecasts.data(), ctx);
+    engine.score_prefix(x, rows, forecasts.data(), ctx);
     for (std::size_t r = 0; r < rows; ++r) {
       const float err = forecasts[r] - series[done + r + lookback];
       out[done + r] = err * err;

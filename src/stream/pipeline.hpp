@@ -37,13 +37,10 @@
 // adaptation, drift) lives in stream/zone_state.hpp, shared verbatim with
 // the sharded multi-core runtime (stream/sharded.hpp).
 //
-// Determinism: the engine's exact tier applies only to fp32 batches of
-// exactly 1, so a round that happens to have one ready zone would score on
-// a different tier than a multi-zone round and batch scoring.  The stream
-// therefore pads 1-row rounds to 2 rows (row 0 duplicated, second output
-// ignored) so every streamed score is a wide-tier score, and batch_scores()
-// applies the same rule — a frozen-threshold stream replay of a series is
-// bit-identical to the batch detector (tests/test_stream.cpp pins this).
+// Determinism: an engine row's score depends only on that row's window,
+// whatever batch it shares (DESIGN.md §13), so a frozen-threshold stream
+// replay of a series is bit-identical to the batch detector built on
+// batch_scores() (tests/test_stream.cpp pins this).
 //
 // Threading: ingest()/flush()/add_zone()/stats() belong to one producer
 // thread; drain() and queue_dropped() may run concurrently from consumer
@@ -70,7 +67,7 @@ namespace evfl::stream {
 
 struct StreamConfig {
   /// Upper bound on add_zone() calls; sizes the staging tensor (the engine
-  /// must accept batches of max(2, max_zones)).
+  /// must accept batches of max_zones).
   std::size_t max_zones = 16;
   /// Threshold rule every zone's incremental estimator runs.
   anomaly::ThresholdRule threshold{};
@@ -103,7 +100,7 @@ struct StreamConfig {
 class StreamPipeline {
  public:
   /// The engine must outlive the pipeline and accept batches of
-  /// max(2, cfg.max_zones).  `registry` (optional) receives
+  /// cfg.max_zones.  `registry` (optional) receives
   /// stream.queue_depth / stream.events_dropped gauges,
   /// stream.samples_total / events_total / not_ready_total / gaps_total /
   /// reseeds_total counters and a stream.flush_seconds histogram; `trace`
@@ -200,10 +197,10 @@ class StreamPipeline {
 
 /// Score every complete window of an already-scaled series the way the
 /// stream does: out[i] = (forecast(window starting at i) - series[i +
-/// lookback])², batched through the engine with the same pad-to-2 rule, so
-/// every score is a wide-tier score.  A frozen-threshold StreamPipeline
-/// replay of `series` flags exactly the samples whose batch_scores() entry
-/// exceeds the threshold.  Returns series.size() - lookback scores.
+/// lookback])², batched through the engine.  A frozen-threshold
+/// StreamPipeline replay of `series` flags exactly the samples whose
+/// batch_scores() entry exceeds the threshold.  Returns series.size() -
+/// lookback scores.
 std::vector<float> batch_scores(forecast::Engine& engine,
                                 const std::vector<float>& series,
                                 const runtime::RunContext* ctx = nullptr);

@@ -27,10 +27,10 @@ ShardedPipeline::ShardedPipeline(forecast::Engine& engine,
   EVFL_REQUIRE(engine_.model_config().input_features == 1,
                "ShardedPipeline ingests univariate series");
   // The fan-in merges every shard's rows into ONE engine batch, so the
-  // engine must take the whole fleet at once (and 1-row rounds pad to 2).
-  const std::size_t batch = std::max<std::size_t>(2, cfg_.stream.max_zones);
+  // engine must take the whole fleet at once.
+  const std::size_t batch = cfg_.stream.max_zones;
   EVFL_REQUIRE(engine_.config().max_batch >= batch,
-               "ShardedPipeline needs engine max_batch >= max(2, max_zones)");
+               "ShardedPipeline needs engine max_batch >= max_zones");
   shard_staging_ = tensor::Tensor3(batch, lookback_, 1);
   staging_ = tensor::Tensor3(batch, lookback_, 1);
   scores_.assign(batch, 0.0f);
@@ -205,15 +205,8 @@ std::size_t ShardedPipeline::flush(const runtime::RunContext* ctx) {
     for (const auto& sh : shards_) total_pending += sh->pending;
     if (total_rows == 0) continue;  // whole round was not-ready samples
 
-    // ... applying the 1-row-pad-to-2 wide-tier rule ONCE to the merged
-    // batch (a per-shard pad would re-introduce tier divergence between
-    // shard counts) ...
-    std::size_t score_rows = total_rows;
-    if (total_rows == 1) {
-      staging_.copy_sample_into(0, staging_, 1);
-      score_rows = 2;
-    }
-    engine_.score_prefix(staging_, score_rows, scores_.data(), ctx);
+    // ... scores them in one engine call ...
+    engine_.score_prefix(staging_, total_rows, scores_.data(), ctx);
 
     // ... then shards scatter their score slice back through the shared
     // per-zone state machine, lock-free on their own zones.

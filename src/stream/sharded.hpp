@@ -22,22 +22,20 @@
 //     forecast::Engine::score() call for ALL shards' rows — engine batch
 //     efficiency scales with total zones, not per-shard zones — then
 //     shards scatter their scores back through apply_forecast() in
-//     parallel.  The 1-row-pad-to-2 engine rule is applied once to the
-//     merged batch, never per shard or per zone;
+//     parallel;
 //   - events fan in to one BoundedQueue in shard order (shard 0's zones
 //     first), so consumer-visible order is deterministic.
 //
 // Determinism contract: per-zone outputs (scores, flags, events,
 // thresholds) are bit-identical regardless of shard count or producer
 // interleaving, and — frozen — bit-identical to StreamPipeline and
-// batch_scores().  The argument: every staged row runs the engine's wide
-// tier (pad-to-2), whose per-row results are independent of batch
-// composition (pinned by the engine's own tests); zone state is touched
-// only by its owning shard in the zone's sample order; and per-zone sample
-// order is whatever the producers delivered — identical interleavings give
-// identical results, and a single producer per zone (the common collector
-// topology) makes the whole pipeline deterministic end to end
-// (tests/test_sharded.cpp pins 1/2/4/8-shard equality).
+// batch_scores().  The argument: an engine row's result is independent
+// of batch composition (pinned by the engine's own tests); zone state is
+// touched only by its owning shard in the zone's sample order; and
+// per-zone sample order is whatever the producers delivered — identical
+// interleavings give identical results, and a single producer per zone
+// (the common collector topology) makes the whole pipeline deterministic
+// end to end (tests/test_sharded.cpp pins 1/2/4/8-shard equality).
 //
 // Threading: ingest() from any number of threads, concurrently with one
 // control thread calling flush(); drain() is safe from consumer threads.
@@ -82,7 +80,7 @@ struct ShardedConfig {
 class ShardedPipeline {
  public:
   /// The engine must outlive the pipeline and accept batches of
-  /// max(2, cfg.stream.max_zones).  Optional registry/trace as in
+  /// cfg.stream.max_zones.  Optional registry/trace as in
   /// StreamPipeline (counters gain stream.ingest_dropped).
   ShardedPipeline(forecast::Engine& engine, const ShardedConfig& cfg,
                   obs::Registry* registry = nullptr,

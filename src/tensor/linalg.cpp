@@ -42,9 +42,12 @@ void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c,
                    const runtime::RunContext& ctx) {
   require_matmul_shapes(a, b, c, a.cols(), b.cols(), a.rows(), b.rows(),
                         "matmul_nt");
+  // Bᵀ is materialized once here and every chunk runs the A·B kernel on
+  // it — the same per-element sequence as the serial call.
+  const Matrix bt = b.transposed();
   ctx.parallel_for(a.rows(), ctx.grain_for(a.rows()),
                    [&](std::size_t begin, std::size_t end) {
-                     matmul_nt_acc_rows(a, b, c, begin, end);
+                     matmul_acc_rows(a, bt, c, begin, end);
                    });
 }
 

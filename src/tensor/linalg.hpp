@@ -19,7 +19,8 @@ void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c,
 /// C += Aᵀ · B, output rows partitioned across ctx's pool.
 void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c,
                    const runtime::RunContext& ctx);
-/// C += A · Bᵀ, output rows partitioned across ctx's pool.
+/// C += A · Bᵀ, output rows partitioned across ctx's pool (Bᵀ is
+/// materialized once per call, then the A · B row kernel runs on it).
 void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c,
                    const runtime::RunContext& ctx);
 

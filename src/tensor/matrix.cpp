@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#if defined(__AVX__)
+#if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #endif
 
@@ -211,38 +211,148 @@ Matrix operator*(Matrix a, float s) { return a *= s; }
 Matrix operator*(float s, Matrix a) { return a *= s; }
 Matrix hadamard(Matrix a, const Matrix& b) { return a.hadamard_inplace(b); }
 
-// ---- blocked GEMM kernels --------------------------------------------------
-// All three kernels tile the *output*: i blocks keep a C panel resident
-// while B rows stream through, j blocks keep the streamed B columns inside
-// L1.  The k loop is never reordered or split, so each C element sees the
-// exact accumulation sequence of the naive ikj loop — the determinism
-// contract (DESIGN.md §8) that lets blocked, unblocked, and thread-
-// partitioned runs produce bit-identical results.
+// ---- float-FMA GEMM kernels -------------------------------------------------
+// One register-blocked kernel serves all three products.  An output
+// element runs acc = fma(A(i,k), B(k,j), acc) over ascending k, starting
+// from its C value; which tile, row partition, thread, SIMD lane or
+// masked tail computes it never changes that sequence (DESIGN.md §8).
+// A is addressed through (row step, k step) so Aᵀ·B is the same kernel
+// with the steps swapped; A·Bᵀ packs Bᵀ once per call.
 
 namespace {
-constexpr std::size_t kBlockI = 64;   // C rows per tile
-constexpr std::size_t kBlockJ = 128;  // C cols per tile (512 B per row)
+
+/// Strided operands of C[i][j] += Σ_k A(i,k)·B(k,j):
+/// A(i,k) = a[i·ars + k·acs], B(k,j) = b[k·bs + j], C(i,j) = c[i·cs + j].
+struct Gemm {
+  const float* a;
+  std::size_t ars, acs;
+  const float* b;
+  std::size_t bs;
+  float* c;
+  std::size_t cs;
+  std::size_t n, k;
+};
+
+#if defined(__AVX2__) && defined(__FMA__)
+
+/// Lanes [0, count) enabled.
+__m256i lane_mask(std::size_t count) {
+  const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)), idx);
+}
+
+/// kRows × (8·kVecs) register tile at rows [i, i + kRows), columns
+/// [j, j + 8·kVecs); with kMasked the last vector covers only the lanes
+/// set in `tail`.
+template <int kRows, int kVecs, bool kMasked>
+inline void fma_tile(const Gemm& g, std::size_t i, std::size_t j,
+                     __m256i tail) {
+  const auto load = [&](const float* p, int v) {
+    return kMasked && v == kVecs - 1 ? _mm256_maskload_ps(p, tail)
+                                     : _mm256_loadu_ps(p);
+  };
+  // The loops over r and v are unrolled before GCC's scalar replacement
+  // of `acc`; otherwise the array stays on the stack and every k step
+  // stores all accumulators back to memory.
+  __m256 acc[kRows][kVecs];
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = load(g.c + (i + r) * g.cs + j + 8 * v, v);
+    }
+  }
+  const std::size_t ars = g.ars, acs = g.acs, bs = g.bs, k = g.k;
+  const float* ap = g.a + i * ars;
+  const float* bp = g.b + j;
+  for (std::size_t kk = 0; kk < k; ++kk, ap += acs, bp += bs) {
+    __m256 bv[kVecs];
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) bv[v] = load(bp + 8 * v, v);
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ap + r * ars);
+#pragma GCC unroll 4
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) {
+      float* cp = g.c + (i + r) * g.cs + j + 8 * v;
+      if (kMasked && v == kVecs - 1) {
+        _mm256_maskstore_ps(cp, tail, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(cp, acc[r][v]);
+      }
+    }
+  }
+}
+
+/// kRows-row tiles down rows [i0, i1) at columns [j, j + 8·kVecs).
+template <int kRows, int kVecs, bool kMasked = false>
+void tile_column(const Gemm& g, std::size_t i0, std::size_t i1,
+                 std::size_t j, __m256i tail = _mm256_set1_epi32(-1)) {
+  for (std::size_t i = i0; i < i1; i += kRows) {
+    fma_tile<kRows, kVecs, kMasked>(g, i, j, tail);
+  }
+}
+
+/// Rows [i0, i1), a whole number of kRows-row tiles, over every column.
+/// Column blocks are outermost, so a k × 8·kVecs panel of B stays
+/// L1-resident while the row tiles stream past it; the leftover columns
+/// go one vector at a time, the last < 8 of them masked.
+template <int kRows, int kVecs>
+void row_block(const Gemm& g, std::size_t i0, std::size_t i1) {
+  std::size_t j = 0;
+  for (; j + 8 * kVecs <= g.n; j += 8 * kVecs) {
+    tile_column<kRows, kVecs>(g, i0, i1, j);
+  }
+  for (; j + 8 <= g.n; j += 8) tile_column<kRows, 1>(g, i0, i1, j);
+  if (j < g.n) tile_column<kRows, 1, true>(g, i0, i1, j, lane_mask(g.n - j));
+}
+
+void gemm_rows(const Gemm& g, std::size_t i0, std::size_t i1) {
+  // 4 × 16 tiles over whole groups of four rows.  The 0–3 rows left over
+  // run 32 columns wide (2 × 32, then 1 × 32), so even a lone row keeps
+  // four independent FMA chains in flight — batch-1 predict and the
+  // xᵀ·dZ gradient of a one-feature input are single rows.
+  std::size_t i = i0 + (i1 - i0) / 4 * 4;
+  row_block<4, 2>(g, i0, i);
+  if (i + 2 <= i1) {
+    row_block<2, 4>(g, i, i + 2);
+    i += 2;
+  }
+  if (i < i1) row_block<1, 4>(g, i, i1);
+}
+
+#else
+
+void gemm_rows(const Gemm& g, std::size_t i0, std::size_t i1) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    float* crow = g.c + i * g.cs;
+    for (std::size_t kk = 0; kk < g.k; ++kk) {
+      const float av = g.a[i * g.ars + kk * g.acs];
+      const float* brow = g.b + kk * g.bs;
+      for (std::size_t j = 0; j < g.n; ++j) {
+        crow[j] = std::fma(av, brow[j], crow[j]);
+      }
+    }
+  }
+}
+
+#endif  // __AVX2__ && __FMA__
+
 }  // namespace
 
 void matmul_acc_rows(ConstMatView a, ConstMatView b, MatView c,
                      std::size_t row_begin, std::size_t row_end) {
-  const std::size_t k = a.cols, n = b.cols;
-  for (std::size_t ib = row_begin; ib < row_end; ib += kBlockI) {
-    const std::size_t iend = std::min(row_end, ib + kBlockI);
-    for (std::size_t jb = 0; jb < n; jb += kBlockJ) {
-      const std::size_t jend = std::min(n, jb + kBlockJ);
-      for (std::size_t i = ib; i < iend; ++i) {
-        const float* arow = a.row(i);
-        float* crow = c.row(i);
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          const float aik = arow[kk];
-          if (aik == 0.0f) continue;
-          const float* brow = b.row(kk);
-          for (std::size_t j = jb; j < jend; ++j) crow[j] += aik * brow[j];
-        }
-      }
-    }
-  }
+  gemm_rows({a.data, a.stride, 1, b.data, b.stride, c.data, c.stride, b.cols,
+             a.cols},
+            row_begin, row_end);
 }
 
 void matmul_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
@@ -271,27 +381,10 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 
 void matmul_tn_acc_rows(ConstMatView a, ConstMatView b, MatView c,
                         std::size_t row_begin, std::size_t row_end) {
-  // C[i,j] += sum_kk A[kk,i] * B[kk,j].  kk runs outermost *within* each
-  // tile so A and B rows stream contiguously; for a fixed (i,j) the kk
-  // accumulation is still ascending, matching the naive kernel bit for
-  // bit.
-  const std::size_t k = a.rows, n = b.cols;
-  for (std::size_t ib = row_begin; ib < row_end; ib += kBlockI) {
-    const std::size_t iend = std::min(row_end, ib + kBlockI);
-    for (std::size_t jb = 0; jb < n; jb += kBlockJ) {
-      const std::size_t jend = std::min(n, jb + kBlockJ);
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float* arow = a.row(kk);
-        const float* brow = b.row(kk);
-        for (std::size_t i = ib; i < iend; ++i) {
-          const float aki = arow[i];
-          if (aki == 0.0f) continue;
-          float* crow = c.row(i);
-          for (std::size_t j = jb; j < jend; ++j) crow[j] += aki * brow[j];
-        }
-      }
-    }
-  }
+  // C[i,j] += Σ_k A[k,i]·B[k,j]: the A·B kernel with A's steps swapped.
+  gemm_rows({a.data, 1, a.stride, b.data, b.stride, c.data, c.stride, b.cols,
+             a.rows},
+            row_begin, row_end);
 }
 
 void matmul_tn_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
@@ -318,83 +411,28 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void matmul_nt_acc_rows(ConstMatView a, ConstMatView b, MatView c,
-                        std::size_t row_begin, std::size_t row_end) {
-  // Each C element is a double-accumulated dot of two float rows — a
-  // strictly serial dependency chain (~4-cycle add latency per element).
-  // Independent chains hide that latency: process 8 output columns at
-  // once, each with its own accumulator running its exact serial order.
-  // The products stay float (only the running sum is double), matching the
-  // one-column loop bit for bit.
+namespace {
+
+/// C[i,j] += Σ_k A[i,k]·B[j,k]: pack Bᵀ ([k, n], contiguous rows) once,
+/// then run the A·B kernel over every row.  The buffer only grows, so
+/// steady-state calls do not allocate.
+void gemm_nt(ConstMatView a, ConstMatView b, MatView c) {
   const std::size_t k = a.cols, n = b.rows;
-  // Column-major pack of 8 B rows so the 8 chains load one contiguous
-  // vector per k step; reused across every A row of the block.
   static thread_local std::vector<float> packed;
-  if (n >= 8 && packed.size() < k * 8) packed.resize(k * 8);
-  for (std::size_t ib = row_begin; ib < row_end; ib += kBlockI) {
-    const std::size_t iend = std::min(row_end, ib + kBlockI);
-    for (std::size_t jb = 0; jb < n; jb += kBlockJ) {
-      const std::size_t jend = std::min(n, jb + kBlockJ);
-      std::size_t j = jb;
-      for (; j + 8 <= jend; j += 8) {
-        for (std::size_t m = 0; m < 8; ++m) {
-          const float* brow = b.row(j + m);
-          for (std::size_t kk = 0; kk < k; ++kk) packed[kk * 8 + m] = brow[kk];
-        }
-        const float* bp = packed.data();
-        for (std::size_t i = ib; i < iend; ++i) {
-          const float* arow = a.row(i);
-          float* crow = c.row(i);
-#if defined(__AVX__)
-          // Lane m runs column j+m's exact serial chain: IEEE float
-          // multiply, exact widen to double, double add per k step.
-          __m256d slo = _mm256_setzero_pd();
-          __m256d shi = _mm256_setzero_pd();
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            const __m256 prod = _mm256_mul_ps(_mm256_broadcast_ss(arow + kk),
-                                              _mm256_loadu_ps(bp + kk * 8));
-            slo = _mm256_add_pd(slo,
-                                _mm256_cvtps_pd(_mm256_castps256_ps128(prod)));
-            shi = _mm256_add_pd(shi,
-                                _mm256_cvtps_pd(_mm256_extractf128_ps(prod, 1)));
-          }
-          double s[8];
-          _mm256_storeu_pd(s, slo);
-          _mm256_storeu_pd(s + 4, shi);
-#else
-          double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            const float av = arow[kk];
-            const float* col = bp + kk * 8;
-            for (std::size_t m = 0; m < 8; ++m) s[m] += av * col[m];
-          }
-#endif
-          for (std::size_t m = 0; m < 8; ++m) {
-            crow[j + m] += static_cast<float>(s[m]);
-          }
-        }
-      }
-      for (; j < jend; ++j) {
-        const float* brow = b.row(j);
-        for (std::size_t i = ib; i < iend; ++i) {
-          const float* arow = a.row(i);
-          double acc = 0.0;
-          for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-          c.row(i)[j] += static_cast<float>(acc);
-        }
-      }
-    }
+  if (packed.size() < k * n) packed.resize(k * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const float* brow = b.row(j);
+    for (std::size_t kk = 0; kk < k; ++kk) packed[kk * n + j] = brow[kk];
   }
+  gemm_rows({a.data, a.stride, 1, packed.data(), n, c.data, c.stride, n, k},
+            0, a.rows);
 }
 
-void matmul_nt_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                        std::size_t row_begin, std::size_t row_end) {
-  matmul_nt_acc_rows(a.view(), b.view(), c.view(), row_begin, row_end);
-}
+}  // namespace
 
 void matmul_nt_acc(ConstMatView a, ConstMatView b, MatView c) {
   require_view_shapes(c, a.cols, b.cols, a.rows, b.rows, "matmul_nt");
-  matmul_nt_acc_rows(a, b, c, 0, a.rows);
+  gemm_nt(a, b, c);
 }
 
 void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c) {
@@ -402,7 +440,7 @@ void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c) {
     throw ShapeError("matmul_nt: incompatible shapes " + a.shape_str() +
                      " · " + b.shape_str() + "ᵀ -> " + c.shape_str());
   }
-  matmul_nt_acc_rows(a, b, c, 0, a.rows());
+  gemm_nt(a.view(), b.view(), c.view());
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {

@@ -2,10 +2,10 @@
 // neural-network substrate needs, plus lightweight strided views so a
 // column block of a fused matrix (e.g. one LSTM gate inside [N, 4H]) can
 // be read and written in place.  Storage is pool-recycled (tensor/pool) so
-// steady-state temporaries don't touch the heap.  Kernels are cache-
-// blocked over output rows/columns only — the per-element accumulation
-// order over k is identical to the naive loops, so blocked, serial, and
-// row-partitioned parallel runs all produce bit-identical results.
+// steady-state temporaries don't touch the heap.  The GEMMs are one
+// register-blocked float-FMA kernel: every output element accumulates
+// fma(a, b, acc) over ascending k from its C value, so tiling, row
+// partition, thread count and SIMD-vs-tail all give the same bits.
 #pragma once
 
 #include <cstddef>
@@ -159,7 +159,7 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b);
 /// C = A · Bᵀ  (without materializing the transpose)
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
 
-/// C += A · B  — the LSTM hot loop; kernel is cache-blocked over i/j.
+/// C += A · B  — the LSTM hot loop.
 void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c);
 /// C += Aᵀ · B
 void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c);
@@ -174,23 +174,19 @@ void matmul_tn_acc(ConstMatView a, ConstMatView b, MatView c);
 void matmul_nt_acc(ConstMatView a, ConstMatView b, MatView c);
 
 // Row-range kernel bodies: compute output rows [row_begin, row_end) of C
-// only.  Blocking covers output rows and columns exclusively — for every
-// C element the k accumulation runs ascending exactly like the naive
-// triple loop, so blocked, unblocked, and row-partitioned parallel runs
-// are bit-identical.  These are the grain bodies the context-aware
-// overloads in tensor/linalg partition across a thread pool; shapes are
+// only.  Every C element runs acc = fma(a, b, acc) over ascending k from
+// its C value, whichever tile or lane computes it, so any row partition
+// is bit-identical to one call over all rows.  These are the grain bodies
+// the context-aware overloads in tensor/linalg partition across a thread
+// pool (A · Bᵀ materializes Bᵀ once and uses the A · B body); shapes are
 // assumed already validated.
 void matmul_acc_rows(ConstMatView a, ConstMatView b, MatView c,
                      std::size_t row_begin, std::size_t row_end);
 void matmul_tn_acc_rows(ConstMatView a, ConstMatView b, MatView c,
                         std::size_t row_begin, std::size_t row_end);
-void matmul_nt_acc_rows(ConstMatView a, ConstMatView b, MatView c,
-                        std::size_t row_begin, std::size_t row_end);
 void matmul_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
                      std::size_t row_begin, std::size_t row_end);
 void matmul_tn_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                        std::size_t row_begin, std::size_t row_end);
-void matmul_nt_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
                         std::size_t row_begin, std::size_t row_end);
 
 /// Max absolute elementwise difference; matrices must share a shape.

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <initializer_list>
 #include <thread>
 #include <vector>
 
@@ -43,47 +44,44 @@ Tensor3 random_batch(std::size_t n, std::size_t t, std::size_t f,
   return x;
 }
 
-TEST(Engine, BatchOfOneBitIdenticalToPredict) {
-  const ForecasterConfig cfg = small_config();
-  Rng rng(7);
-  nn::Sequential model = make_forecaster(cfg, rng);
+/// The engine runs Lstm::forward's FMA sequence and gate kernel, so every
+/// row equals Sequential::predict of that row alone, bit for bit, at any
+/// batch width.  H = 13 puts gate columns in the scalar tail, 16 fills
+/// whole 8-wide groups, 50 is the paper's shape.
+void expect_rows_bit_identical_to_predict(
+    std::initializer_list<std::size_t> widths) {
+  for (const std::size_t units : {13, 16, 50}) {
+    ForecasterConfig cfg = small_config();
+    cfg.lstm_units = units;
+    Rng rng(7 + units);
+    nn::Sequential model = make_forecaster(cfg, rng);
 
-  Engine engine(cfg);
-  engine.publish(model.get_weights());
+    Engine engine(cfg);
+    engine.publish(model.get_weights());
 
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    const Tensor3 x = random_batch(1, cfg.sequence_length,
-                                   cfg.input_features, 100 + s);
-    const Tensor3 want = model.predict(x);
-    float got = 0.0f;
-    engine.score(x, &got);
-    EXPECT_EQ(got, want(0, 0, 0));  // bit-identical, not just close
+    for (const std::size_t batch : widths) {
+      const Tensor3 x = random_batch(batch, cfg.sequence_length,
+                                     cfg.input_features, 100 + batch);
+      std::vector<float> got;
+      engine.score(x, got);
+      ASSERT_EQ(got.size(), batch);
+      for (std::size_t i = 0; i < batch; ++i) {
+        const Tensor3 want = model.predict(x.batch_slice(i, i + 1));
+        EXPECT_EQ(got[i], want(0, 0, 0))
+            << "H " << units << " batch " << batch << " row " << i;
+      }
+    }
   }
 }
 
+TEST(Engine, BatchOfOneBitIdenticalToPredict) {
+  expect_rows_bit_identical_to_predict({1});
+}
+
 TEST(Engine, WideBatchRowsTrackPredictClosely) {
-  const ForecasterConfig cfg = small_config();
-  Rng rng(8);
-  nn::Sequential model = make_forecaster(cfg, rng);
-
-  Engine engine(cfg);
-  engine.publish(model.get_weights());
-
-  const std::size_t batch = 17;  // odd size: exercises kernel tails
-  const Tensor3 x =
-      random_batch(batch, cfg.sequence_length, cfg.input_features, 9);
-  std::vector<float> got;
-  engine.score(x, got);
-  ASSERT_EQ(got.size(), batch);
-
-  // Wide batches run the vectorized rational gates, so rows agree with
-  // the reference predict path to ~1e-5, not bitwise (that contract is
-  // batch-of-1 only — see BatchOfOneBitIdenticalToPredict).
-  for (std::size_t i = 0; i < batch; ++i) {
-    const Tensor3 xi = x.batch_slice(i, i + 1);
-    const Tensor3 want = model.predict(xi);
-    EXPECT_NEAR(got[i], want(0, 0, 0), 1e-4) << "row " << i;
-  }
+  // Wide batches share the batch-of-1 kernels, so "closely" is bitwise:
+  // odd and multi-panel widths exercise the row and column tails.
+  expect_rows_bit_identical_to_predict({2, 17, 64});
 }
 
 TEST(Engine, RowResultsIndependentOfBatchComposition) {
@@ -100,8 +98,8 @@ TEST(Engine, RowResultsIndependentOfBatchComposition) {
   std::vector<float> whole;
   engine.score(x, whole);
 
-  // Scoring the same rows in two wide sub-batches must give the same bits:
-  // within a tier a row's result depends only on its own data.
+  // Scoring the same rows in two sub-batches must give the same bits: a
+  // row's result depends only on its own data.
   std::vector<float> front, back;
   engine.score(x.batch_slice(0, 9), front);
   engine.score(x.batch_slice(9, batch), back);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "nn/lstm_kernels.hpp"
 
 namespace evfl::nn {
 namespace {
@@ -157,6 +161,43 @@ TEST(Lstm, EmptyTimeRejected) {
   Lstm layer(2, false, rng, 1);
   Tensor3 x(2, 0, 1);
   EXPECT_THROW(layer.forward(x, false), Error);
+}
+
+TEST(LstmKernels, RationalGatesTrackLibm) {
+  float worst_tanh = 0.0f, worst_sigmoid = 0.0f;
+  for (int i = -2000; i <= 2000; ++i) {
+    const float x = static_cast<float>(i) * 0.01f;  // [-20, 20]
+    worst_tanh = std::max(worst_tanh, std::fabs(tanh_fast(x) - std::tanh(x)));
+    const float sig = 1.0f / (1.0f + std::exp(-x));
+    worst_sigmoid = std::max(worst_sigmoid, std::fabs(sigmoid_fast(x) - sig));
+  }
+  EXPECT_LT(worst_tanh, 1e-6f);
+  EXPECT_LT(worst_sigmoid, 1e-6f);
+}
+
+TEST(LstmKernels, NanPropagatesInSimdAndTailColumns) {
+  // H = 13: columns 0-7 run 8-wide where AVX2+FMA is compiled in, columns
+  // 8-12 run the scalar tail.  A NaN pre-activation must come out NaN on
+  // both paths (a clamp that swallowed it would turn the gate into ~1).
+  const std::size_t h = 13;
+  for (std::size_t gate = 0; gate < 4; ++gate) {
+    std::vector<float> z(4 * h, 0.25f), c(h, 0.5f), hs(h), ct(h);
+    z[gate * h + 3] = std::nanf("");   // SIMD column
+    z[gate * h + 10] = std::nanf("");  // tail column
+    lstm_cell_row<true>(z.data(), c.data(), hs.data(), ct.data(), h);
+    for (std::size_t k = 0; k < h; ++k) {
+      const bool poisoned = k == 3 || k == 10;
+      EXPECT_EQ(std::isnan(hs[k]), poisoned) << "gate " << gate << " col " << k;
+      EXPECT_EQ(std::isnan(z[gate * h + k]), poisoned)
+          << "gate " << gate << " col " << k;
+      if (gate != 3) {  // the output gate does not feed the cell
+        EXPECT_EQ(std::isnan(c[k]), poisoned)
+            << "gate " << gate << " col " << k;
+        EXPECT_EQ(std::isnan(ct[k]), poisoned)
+            << "gate " << gate << " col " << k;
+      }
+    }
+  }
 }
 
 }  // namespace

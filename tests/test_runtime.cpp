@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
+#include "nn/lstm_kernels.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
 #include "runtime/workspace.hpp"
@@ -209,58 +211,51 @@ TEST(Workspace, ThreadLanesAreDistinct) {
   EXPECT_EQ(main_lane, &thread_workspace());  // stable per thread
 }
 
-// ---- blocked GEMM vs the seed's naive kernels -------------------------------
+// ---- GEMM kernels vs the determinism contract -------------------------------
 
-// Verbatim copies of the pre-blocking kernels.  The blocked kernels in
-// tensor/matrix.cpp promise bit-identical results: per output element the
-// k accumulation runs in the same order with the same zero-skip, only the
-// (i, j) tile visit order changes.  These references keep that promise
-// checkable against any future kernel rewrite.
+// The contract written as plainly as possible: every output element starts
+// from its C value and accumulates std::fma(A(i,k), B(k,j), acc) over
+// ascending k.  The register-blocked kernels in tensor/matrix.cpp must
+// reproduce it bit for bit, whatever tile, row partition, thread count,
+// SIMD lane or masked tail computes the element.
 void naive_matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
-  const std::size_t k = a.cols(), n = b.cols();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* crow = c.row(i);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      if (aik == 0.0f) continue;
-      const float* brow = b.row(kk);
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    for (std::size_t j = 0; j < c.cols(); ++j) {
+      float acc = c(i, j);
+      for (std::size_t kk = 0; kk < a.cols(); ++kk) {
+        acc = std::fma(a(i, kk), b(kk, j), acc);
+      }
+      c(i, j) = acc;
     }
   }
 }
 
 void naive_matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
-  const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* arow = a.row(kk);
-    const float* brow = b.row(kk);
-    for (std::size_t i = 0; i < m; ++i) {
-      const float aki = arow[i];
-      if (aki == 0.0f) continue;
-      float* crow = c.row(i);
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aki * brow[j];
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    for (std::size_t j = 0; j < c.cols(); ++j) {
+      float acc = c(i, j);
+      for (std::size_t kk = 0; kk < a.rows(); ++kk) {
+        acc = std::fma(a(kk, i), b(kk, j), acc);
+      }
+      c(i, j) = acc;
     }
   }
 }
 
 void naive_matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c) {
-  const std::size_t k = a.cols(), n = b.rows();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* crow = c.row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b.row(j);
-      double acc = 0.0;
-      // NB: float*float multiply, then the product widens into the double
-      // accumulator — the seed semantics the vectorized kernel reproduces.
-      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] += static_cast<float>(acc);
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    for (std::size_t j = 0; j < c.cols(); ++j) {
+      float acc = c(i, j);
+      for (std::size_t kk = 0; kk < a.cols(); ++kk) {
+        acc = std::fma(a(i, kk), b(j, kk), acc);
+      }
+      c(i, j) = acc;
     }
   }
 }
 
-/// Exact zeros sprinkled in to exercise the kernels' zero-skip branch.
+/// Exact zeros sprinkled in: a zero product keeps its place in the FMA
+/// chain (skipping it would hide 0·Inf = NaN and can change a zero's sign).
 Matrix random_sparse_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
   Matrix m = random_matrix(r, c, seed);
   for (std::size_t i = 0; i < m.size(); i += 13) m.data()[i] = 0.0f;
@@ -268,8 +263,9 @@ Matrix random_sparse_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
 }
 
 TEST(BlockedMatmul, BitIdenticalToNaiveAcrossThreadCounts) {
-  // 93 rows / 150 cols straddle the 64-row and 128-column tile boundaries,
-  // so every kernel runs multi-tile with ragged edge tiles.
+  // 93 rows = 23 four-row tiles + a single-row tail; 150 cols = 9 full
+  // 16-column panels + a masked 6-column tail.  The 4-thread partition
+  // cuts row tiles at other places than the serial run does.
   const Matrix a = random_sparse_matrix(93, 70, 21);   // [m, k]
   const Matrix b = random_sparse_matrix(70, 150, 22);  // [k, n]
   const Matrix at = random_sparse_matrix(70, 93, 23);  // [k, m] for tn
@@ -298,16 +294,47 @@ TEST(BlockedMatmul, BitIdenticalToNaiveAcrossThreadCounts) {
         << threads << " threads";
   }
 
-  // The serial Matrix overloads hit the same blocked bodies.
+  // The serial Matrix overloads hit the same kernel bodies.
   EXPECT_EQ(tensor::max_abs_diff(tensor::matmul(a, b), c_naive), 0.0f);
   EXPECT_EQ(tensor::max_abs_diff(tensor::matmul_tn(at, b), c_tn_naive), 0.0f);
   EXPECT_EQ(tensor::max_abs_diff(tensor::matmul_nt(a, bt), c_nt_naive), 0.0f);
 }
 
+TEST(BlockedMatmul, EveryColumnTailMatchesNaive) {
+  // Column counts around the 8-, 16- and 32-lane boundaries, each through
+  // all three products, with non-zero C so the chain starts from C.
+  // 7 rows = a 4-row tile, a 2-row and a 1-row block, each with its own
+  // column tiling.
+  for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17, 25, 31, 32, 33, 47}) {
+    const Matrix a = random_sparse_matrix(7, 11, 40 + n);
+    const Matrix b = random_sparse_matrix(11, n, 50 + n);
+    const Matrix at = random_sparse_matrix(11, 7, 60 + n);
+    const Matrix bt = random_sparse_matrix(n, 11, 70 + n);
+    const Matrix c0 = random_matrix(7, n, 80 + n);
+
+    Matrix want = c0, got = c0;
+    naive_matmul_acc(a, b, want);
+    tensor::matmul_acc(a, b, got);
+    EXPECT_EQ(tensor::max_abs_diff(got, want), 0.0f) << "nn n=" << n;
+
+    want = c0;
+    got = c0;
+    naive_matmul_tn_acc(at, b, want);
+    tensor::matmul_tn_acc(at, b, got);
+    EXPECT_EQ(tensor::max_abs_diff(got, want), 0.0f) << "tn n=" << n;
+
+    want = c0;
+    got = c0;
+    naive_matmul_nt_acc(a, bt, want);
+    tensor::matmul_nt_acc(a, bt, got);
+    EXPECT_EQ(tensor::max_abs_diff(got, want), 0.0f) << "nt n=" << n;
+  }
+}
+
 TEST(BlockedMatmul, StridedGateViewsMatchFullMatrixKernels) {
   // Writing into a column block of a wider matrix through a strided view
   // must equal computing into a dense matrix and copying the block in.
-  const std::size_t n = 9, k = 7, h = 40;  // 4h = 160 crosses the 128 tile
+  const std::size_t n = 9, k = 7, h = 40;  // gate blocks end in 8 columns
   const Matrix a = random_matrix(n, k, 31);
   const Matrix w = random_matrix(k, 4 * h, 32);
   Matrix fused(n, 4 * h);
@@ -322,10 +349,11 @@ TEST(BlockedMatmul, StridedGateViewsMatchFullMatrixKernels) {
   EXPECT_EQ(tensor::max_abs_diff(fused, dense), 0.0f);
 }
 
-// ---- LSTM fused fast path vs the seed algorithm -----------------------------
+// ---- LSTM fused fast path vs the reference algorithm ------------------------
 
-/// The seed LSTM, reimplemented on the naive kernels with per-gate Matrix
-/// temporaries — the algorithm the fused/workspace rewrite in nn/lstm.cpp
+/// The seed's LSTM algorithm with per-gate Matrix temporaries, rebuilt on
+/// the naive FMA kernels above and the scalar shared gate functions — what
+/// the fused/workspace path in nn/lstm.cpp (blocked kernels, SIMD gates)
 /// must reproduce float-for-float (forward, BPTT, and parameter grads).
 class ReferenceLstm {
  public:
@@ -360,23 +388,24 @@ class ReferenceLstm {
       sc.h_prev = h_state;
       sc.c_prev = c_state;
       Matrix z(n, 4 * h);
-      z.add_row_broadcast(b_);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < 4 * h; ++c) z(r, c) = b_(0, c);
+      }
       naive_matmul_acc(sc.x, wx_, z);
       naive_matmul_acc(sc.h_prev, wh_, z);
-      sc.i = gate_block(z, 0);
-      sc.f = gate_block(z, 1);
-      sc.g = gate_block(z, 2);
-      sc.o = gate_block(z, 3);
-      nn::apply_activation(nn::Activation::kSigmoid, sc.i);
-      nn::apply_activation(nn::Activation::kSigmoid, sc.f);
-      nn::apply_activation(nn::Activation::kTanh, sc.g);
-      nn::apply_activation(nn::Activation::kSigmoid, sc.o);
+      sc.i = gate_block(z, 0, nn::sigmoid_fast);
+      sc.f = gate_block(z, 1, nn::sigmoid_fast);
+      sc.g = gate_block(z, 2, nn::tanh_fast);
+      sc.o = gate_block(z, 3, nn::sigmoid_fast);
       for (std::size_t idx = 0; idx < n * h; ++idx) {
-        c_state.data()[idx] = sc.f.data()[idx] * sc.c_prev.data()[idx] +
-                              sc.i.data()[idx] * sc.g.data()[idx];
+        c_state.data()[idx] =
+            std::fma(sc.f.data()[idx], sc.c_prev.data()[idx],
+                     sc.i.data()[idx] * sc.g.data()[idx]);
       }
       sc.c_tanh = c_state;
-      nn::apply_activation(nn::Activation::kTanh, sc.c_tanh);
+      for (std::size_t idx = 0; idx < n * h; ++idx) {
+        sc.c_tanh.data()[idx] = nn::tanh_fast(sc.c_tanh.data()[idx]);
+      }
       for (std::size_t idx = 0; idx < n * h; ++idx) {
         h_state.data()[idx] = sc.o.data()[idx] * sc.c_tanh.data()[idx];
       }
@@ -455,13 +484,14 @@ class ReferenceLstm {
     Matrix x, h_prev, c_prev, i, f, g, o, c_tanh;
   };
 
-  Matrix gate_block(const Matrix& z, std::size_t g) const {
+  /// Gate block g of the pre-activation z, activated.
+  Matrix gate_block(const Matrix& z, std::size_t g, float (*act)(float)) const {
     const std::size_t h = units_;
     Matrix out(z.rows(), h);
     for (std::size_t r = 0; r < z.rows(); ++r) {
       const float* src = z.row(r) + g * h;
       float* dst = out.row(r);
-      for (std::size_t c = 0; c < h; ++c) dst[c] = src[c];
+      for (std::size_t c = 0; c < h; ++c) dst[c] = act(src[c]);
     }
     return out;
   }
@@ -514,6 +544,30 @@ TEST(LstmBitIdentity, FusedPathMatchesSeedAlgorithmOverTrainingSteps) {
     for (std::size_t p = 0; p < p_new.size(); ++p) {
       EXPECT_EQ(tensor::max_abs_diff(*p_new[p].value, *p_ref[p].value), 0.0f)
           << p_new[p].name << " weights diverged at step " << step;
+    }
+  }
+}
+
+TEST(LstmBitIdentity, BatchRowMatchesRowForwardedAlone) {
+  // Row i of a 70-row forward (4-row tiles plus a 2-row tail) equals that
+  // row forwarded alone, at every timestep.  H = 13 puts gate columns in
+  // an 8-wide SIMD group and in the scalar tail.
+  const std::size_t units = 13, in = 3, n = 70, t = 5;
+  Rng rng(42);
+  nn::Lstm lstm(units, /*return_sequences=*/true, rng, in);
+  Rng data_rng(9);
+  Tensor3 x(n, t, in);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = data_rng.uniform(-1, 1);
+  }
+  const Tensor3 whole = lstm.forward(x, /*training=*/false);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Tensor3 alone = lstm.forward(x.batch_slice(i, i + 1), false);
+    for (std::size_t s = 0; s < t; ++s) {
+      for (std::size_t c = 0; c < units; ++c) {
+        ASSERT_EQ(whole(i, s, c), alone(0, s, c))
+            << "row " << i << " step " << s << " unit " << c;
+      }
     }
   }
 }

@@ -269,8 +269,8 @@ TEST(ShardedPipeline, FrozenBitIdenticalAcrossShardCounts) {
   const ZoneTrace base = run_sharded(fx.engine, 1, series, thresholds, 32);
   ASSERT_FALSE(base.empty()) << "degenerate fixture: nothing flagged";
 
-  // Every surviving event carries the exact batch-score bits (wide tier,
-  // merged fan-in batch) ...
+  // Every surviving event carries the exact batch-score bits (merged
+  // fan-in batch) ...
   for (const auto& [zone, evs] : base) {
     for (const auto& [t, score, thr] : evs) {
       ASSERT_GE(t, lookback);
@@ -331,9 +331,8 @@ TEST(ShardedPipeline, MatchesStreamPipelinePerZone) {
 }
 
 TEST(ShardedPipeline, SingleZoneManyShards) {
-  // 7 shards, 1 zone: every round stages exactly one row, the shape that
-  // must pad onto the wide tier once at the merged batch — scores must
-  // still carry batch bits.
+  // 7 shards, 1 zone: every round stages exactly one row into a 1-row
+  // engine batch — scores must still carry batch bits.
   EngineFixture fx;
   const std::size_t lookback = fx.model.sequence_length;
   const std::size_t n = 70;

@@ -179,8 +179,8 @@ TEST(StreamPipeline, FrozenThresholdBitIdenticalToBatch) {
 }
 
 TEST(StreamPipeline, SingleZoneStillMatchesBatch) {
-  // One zone -> every round is a 1-row batch, the shape that must be padded
-  // onto the wide tier to keep bit-equality with batch scoring.
+  // One zone -> every round is a 1-row engine batch, while batch scoring
+  // runs wide batches; the scores must still be bit-equal.
   EngineFixture fx;
   const std::size_t lookback = fx.model.sequence_length;
   const std::size_t n = 60;
@@ -207,6 +207,16 @@ TEST(StreamPipeline, SingleZoneStillMatchesBatch) {
   for (const AnomalyEvent& ev : events) {
     EXPECT_EQ(ev.score, expected[ev.t - lookback]);
   }
+
+  // Nothing pads a 1-row batch: an engine that takes one row at a time
+  // serves the same stream and batch scores.
+  forecast::EngineConfig one_row;
+  one_row.max_batch = 1;
+  Engine narrow(fx.model, one_row);
+  tensor::Rng rng(7);
+  narrow.publish(forecast::make_forecaster(fx.model, rng).get_weights());
+  EXPECT_EQ(batch_scores(narrow, series), expected);
+  EXPECT_NO_THROW(StreamPipeline(narrow, cfg));
 }
 
 // ---- Not-ready / churn semantics -------------------------------------------
