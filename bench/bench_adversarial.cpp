@@ -13,58 +13,21 @@
 // variant: it runs one robust-rule cell and exits 1 when steady-state
 // rounds keep growing the heap (the robust buffer must reuse its storage).
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
-#include <new>
 #include <sstream>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "fl/adversary.hpp"
 #include "fl/driver.hpp"
 #include "metrics/regression.hpp"
 #include "nn/dense.hpp"
 #include "obs/round_telemetry.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Same instrumentation as bench_scale / bench_comms: replacing the global
-// allocation functions makes every heap allocation visible.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -262,11 +225,11 @@ int run_check_allocs() {
                         fl::RoundPolicy{}, nullptr, &adversary);
 
   driver.run(2);  // warmup: buffer growth to steady-state capacity
-  const std::uint64_t b0 = g_alloc_bytes.load();
+  const std::uint64_t b0 = bench::alloc_now().bytes;
   driver.run(3);
-  const std::uint64_t b1 = g_alloc_bytes.load();
+  const std::uint64_t b1 = bench::alloc_now().bytes;
   driver.run(3);
-  const std::uint64_t b2 = g_alloc_bytes.load();
+  const std::uint64_t b2 = bench::alloc_now().bytes;
 
   const double w1 = static_cast<double>(b1 - b0);
   const double w2 = static_cast<double>(b2 - b1);

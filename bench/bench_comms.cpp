@@ -15,16 +15,14 @@
 //   bench_comms                 # full run, prints + writes JSON
 //   bench_comms --check-allocs  # microbench only; exit 1 if the steady
 //                               # state serialize/decode paths allocate
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/error.hpp"
 #include "core/scenario_runner.hpp"
 #include "fl/codec.hpp"
@@ -32,42 +30,6 @@
 #include "forecast/model.hpp"
 #include "metrics/timer.hpp"
 #include "tensor/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Same instrumentation as bench_lstm_kernels: replacing the global
-// allocation functions makes every heap allocation visible, and the bench
-// samples the counter around each measured region.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -85,11 +47,11 @@ struct OpStats {
 template <typename Fn>
 OpStats measure(std::size_t warmup, std::size_t iters, Fn&& op) {
   for (std::size_t i = 0; i < warmup; ++i) op();
-  const std::uint64_t a0 = g_alloc_count.load();
+  const std::uint64_t a0 = bench::alloc_now().count;
   const metrics::WallTimer timer;
   for (std::size_t i = 0; i < iters; ++i) op();
   const double secs = timer.seconds();
-  const std::uint64_t a1 = g_alloc_count.load();
+  const std::uint64_t a1 = bench::alloc_now().count;
   OpStats s;
   s.ops_per_sec = secs > 0.0 ? static_cast<double>(iters) / secs : 0.0;
   s.allocs_per_op = static_cast<double>(a1 - a0) / static_cast<double>(iters);

@@ -7,15 +7,13 @@
 //   bench_lstm_kernels                 # full run, prints + writes JSON
 //   bench_lstm_kernels --check-allocs  # short run; exit 1 if the steady
 //                                      # state still allocates
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "data/csv.hpp"
 #include "metrics/timer.hpp"
 #include "obs/telemetry.hpp"
@@ -27,42 +25,6 @@
 #include "nn/sequential.hpp"
 #include "nn/trainer.hpp"
 #include "tensor/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Replacing the global allocation functions makes every heap allocation in
-// the process visible; the bench reads the counter before/after a measured
-// region.  Counting is relaxed-atomic: cheap enough not to distort timings.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -85,17 +47,15 @@ struct StepStats {
 template <typename Fn>
 StepStats measure(std::size_t warmup, std::size_t iters, Fn&& step) {
   for (std::size_t i = 0; i < warmup; ++i) step();
-  const std::uint64_t a0 = g_alloc_count.load();
-  const std::uint64_t b0 = g_alloc_bytes.load();
+  const bench::AllocCount a0 = bench::alloc_now();
   const metrics::WallTimer timer;
   for (std::size_t i = 0; i < iters; ++i) step();
   const double secs = timer.seconds();
-  const std::uint64_t a1 = g_alloc_count.load();
-  const std::uint64_t b1 = g_alloc_bytes.load();
+  const bench::AllocCount a1 = bench::alloc_now();
   StepStats s;
   s.steps_per_sec = secs > 0.0 ? static_cast<double>(iters) / secs : 0.0;
-  s.allocs_per_step = static_cast<double>(a1 - a0) / iters;
-  s.bytes_per_step = static_cast<double>(b1 - b0) / iters;
+  s.allocs_per_step = static_cast<double>(a1.count - a0.count) / iters;
+  s.bytes_per_step = static_cast<double>(a1.bytes - a0.bytes) / iters;
   return s;
 }
 

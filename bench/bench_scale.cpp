@@ -19,16 +19,15 @@
 //   bench_scale --clients N      # single fleet size
 //   bench_scale --check-allocs   # CI gate, small fleets, no JSON
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/error.hpp"
 #include "core/config.hpp"
 #include "datagen/fleet.hpp"
@@ -38,41 +37,6 @@
 #include "runtime/run_context.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Same instrumentation as bench_comms / bench_lstm_kernels: replacing the
-// global allocation functions makes every heap allocation visible.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -155,11 +119,9 @@ ScalePoint run_point(std::size_t clients, std::size_t edges,
   // the steady state the sweep compares across fleet sizes.
   driver.run(1);
 
-  const std::uint64_t a0 = g_alloc_count.load();
-  const std::uint64_t b0 = g_alloc_bytes.load();
+  const bench::AllocCount a0 = bench::alloc_now();
   const fl::FederatedRunResult res = driver.run(measure_rounds);
-  const std::uint64_t a1 = g_alloc_count.load();
-  const std::uint64_t b1 = g_alloc_bytes.load();
+  const bench::AllocCount a1 = bench::alloc_now();
 
   ScalePoint p;
   p.clients = clients;
@@ -170,10 +132,10 @@ ScalePoint run_point(std::size_t clients, std::size_t edges,
       res.total_seconds / static_cast<double>(measure_rounds);
   p.wire_bytes_per_round = static_cast<double>(res.network.bytes_sent) /
                            static_cast<double>(measure_rounds);
-  p.allocs_per_round =
-      static_cast<double>(a1 - a0) / static_cast<double>(measure_rounds);
-  p.alloc_bytes_per_round =
-      static_cast<double>(b1 - b0) / static_cast<double>(measure_rounds);
+  p.allocs_per_round = static_cast<double>(a1.count - a0.count) /
+                       static_cast<double>(measure_rounds);
+  p.alloc_bytes_per_round = static_cast<double>(a1.bytes - a0.bytes) /
+                            static_cast<double>(measure_rounds);
   p.vm_rss_kib = proc_status_kib("VmRSS:");
   p.vm_hwm_kib = proc_status_kib("VmHWM:");
   for (const fl::RoundMetrics& rm : res.rounds) {

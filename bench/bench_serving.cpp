@@ -15,15 +15,13 @@
 // (restricts the comparison table to that precision), --threads N (adds a
 // pool-parallel engine measurement; note ThreadPool dispatch itself
 // allocates, so the zero-alloc gate always measures the serial path).
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/config.hpp"
 #include "data/csv.hpp"
 #include "data/window.hpp"
@@ -36,42 +34,6 @@
 #include "obs/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Same instrumentation as bench_lstm_kernels: replacing the global
-// allocation functions makes every heap allocation visible, sampled around
-// the measured region only.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -102,8 +64,7 @@ BatchStats measure(std::size_t warmup, std::size_t iters, std::size_t batch,
   for (std::size_t i = 0; i < warmup; ++i) step();
   const std::size_t windows = iters >= 5 ? 5 : 1;
   const std::size_t per_window = iters / windows;
-  const std::uint64_t a0 = g_alloc_count.load();
-  const std::uint64_t b0 = g_alloc_bytes.load();
+  const bench::AllocCount a0 = bench::alloc_now();
   double best_secs = 0.0;
   for (std::size_t w = 0; w < windows; ++w) {
     const metrics::WallTimer timer;
@@ -111,15 +72,14 @@ BatchStats measure(std::size_t warmup, std::size_t iters, std::size_t batch,
     const double secs = timer.seconds();
     if (w == 0 || secs < best_secs) best_secs = secs;
   }
-  const std::uint64_t a1 = g_alloc_count.load();
-  const std::uint64_t b1 = g_alloc_bytes.load();
+  const bench::AllocCount a1 = bench::alloc_now();
   const std::size_t measured = windows * per_window;
   BatchStats s;
   s.batches_per_sec =
       best_secs > 0.0 ? static_cast<double>(per_window) / best_secs : 0.0;
   s.forecasts_per_sec = s.batches_per_sec * static_cast<double>(batch);
-  s.allocs_per_batch = static_cast<double>(a1 - a0) / measured;
-  s.bytes_per_batch = static_cast<double>(b1 - b0) / measured;
+  s.allocs_per_batch = static_cast<double>(a1.count - a0.count) / measured;
+  s.bytes_per_batch = static_cast<double>(a1.bytes - a0.bytes) / measured;
   if (hist != nullptr) {
     constexpr std::size_t kSamples = 100;
     for (std::size_t i = 0; i < kSamples; ++i) {

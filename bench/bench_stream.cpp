@@ -6,14 +6,14 @@
 //   1. frozen-threshold equivalence — a stream replay with frozen
 //      thresholds and repair off flags the bit-identical anomaly set the
 //      batch detector (stream::batch_scores + compute_threshold) flags,
-//      on BOTH runtimes (StreamPipeline and a 4-shard ShardedPipeline);
-//   2. detection parity — the adaptive soak (seeded thresholds, online
-//      repair, churn, back-pressure) keeps recall on the labelled attack
-//      samples within 0.02 of the batch detector, and every point of the
-//      shard sweep (drift probe armed) holds the same bound;
+//      at one shard and at fan-in;
+//   2. detection parity — the adaptive one-shard soak (seeded thresholds,
+//      online repair, churn, back-pressure) keeps recall on the labelled
+//      attack samples within 0.02 of the batch detector, and every point
+//      of the shard sweep (drift probe armed) holds the same bound;
 //   3. zero steady-state allocations — after warmup, a clean ingest batch
-//      (ingest + flush, nothing flagged) never touches the heap, on both
-//      runtimes (the sharded gate covers rings, staging and fan-in);
+//      (ingest + flush, nothing flagged) never touches the heap, at one
+//      shard and at fan-in (rings, staging and the merged score call);
 //   4. shard scaling — a 1/2/4/8-shard sweep under multi-producer load
 //      records samples/s into BENCH_stream.json; the >=3x-at-8-shards
 //      gate is enforced only on hosts with >= 8 hardware threads
@@ -29,28 +29,28 @@
 //                                # throughput/recall + shard sweep, writes
 //                                # JSON, exit 1 on any gate failure
 //   bench_stream --check-allocs  # short run; exit 1 if a steady-state
-//                                # ingest batch allocates (either runtime)
-//                                # or a frozen replay diverges from batch
+//                                # ingest batch allocates or a frozen
+//                                # replay diverges from batch (either
+//                                # shard count)
 //
 // Honors --stream-queue-max / --stream-flush / --stream-shards /
 // --stream-drift-z / --seed / --threads (the alloc gates always measure
-// the serial path; --stream-shards only overrides the sharded alloc gate's
-// shard count, the sweep always covers 1/2/4/8).
+// the serial path; --stream-shards sets the fan-in shard count of gates 1
+// and 3, 4 when it is 1; the sweep always covers 1/2/4/8).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "anomaly/threshold.hpp"
 #include "core/config.hpp"
 #include "core/pipeline.hpp"
@@ -68,42 +68,6 @@
 #include "stream/pipeline.hpp"
 #include "stream/sharded.hpp"
 #include "tensor/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Same instrumentation as bench_serving: replacing the global allocation
-// functions makes every heap allocation visible, sampled around the
-// measured region only.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -270,56 +234,23 @@ int main(int argc, char** argv) {
                                               cfg.filter.threshold);
   }
 
-  // --- 1. frozen-threshold equivalence -------------------------------------
-  // Repair off, thresholds frozen at the batch values, queue sized to hold
-  // everything: the replay must flag exactly the batch anomaly set with
-  // bit-identical scores.
-  std::size_t equiv_events = 0;
-  std::size_t equiv_mismatches = 0;
-  std::size_t batch_flagged = 0;
-  {
-    stream::StreamConfig sc = core::make_stream_config(cfg, kZones);
-    sc.repair_inputs = false;
-    sc.adapt_thresholds = false;
-    sc.queue_max = hours * kZones;
-    sc.queue_shrink = 1024;
-    stream::StreamPipeline pipe(engine, sc);
-    for (std::size_t z = 0; z < kZones; ++z) {
-      pipe.add_zone(zones[z].scaler);
-      pipe.freeze_threshold(static_cast<std::uint32_t>(z),
-                            zones[z].threshold);
-    }
-    for (std::size_t t = 0; t < hours; ++t) {
-      for (std::size_t z = 0; z < kZones; ++z) {
-        pipe.ingest(static_cast<std::uint32_t>(z), t, zones[z].series[t]);
-      }
-    }
-    pipe.flush();
-    std::vector<stream::AnomalyEvent> events;
-    pipe.drain(events);
-    equiv_events = events.size();
-    equiv_mismatches =
-        equivalence_mismatches(zones, lookback, events, batch_flagged);
-  }
-  const bool equivalent = equiv_mismatches == 0 &&
-                          equiv_events == batch_flagged;
-  std::printf("frozen equivalence: %s (%zu events, %zu batch-flagged, "
-              "%zu mismatches)\n",
-              equivalent ? "bit-identical" : "DIVERGED", equiv_events,
-              batch_flagged, equiv_mismatches);
+  // Gates 1 and 3 run at one shard, the single-producer shape, and at
+  // fan-in: --stream-shards, or 4 when that is 1.
+  const std::size_t gate_shards[2] = {
+      1, cfg.stream_shards > 1 ? cfg.stream_shards : std::size_t{4}};
 
-  // --- 1b. sharded frozen equivalence --------------------------------------
-  // The same frozen replay through a multi-shard ShardedPipeline with an
-  // off-cadence flush: the fan-in batches differently (one merged engine
-  // call per round, down to single rows), yet the
-  // determinism contract (DESIGN.md §15) says the anomaly set must still
-  // be bit-identical to the batch detector.
-  std::size_t sharded_mismatches = 0;
-  std::size_t sharded_events = 0;
-  std::size_t sharded_batch_flagged = 0;
-  {
+  // --- 1. frozen-threshold equivalence -------------------------------------
+  // Repair off, thresholds frozen at the batch values, queue and rings
+  // sized to hold everything, and an off-cadence flush so rounds vary in
+  // width (fan-in merges them into one engine call, down to single rows):
+  // the determinism contract (DESIGN.md §15) says the replay must flag
+  // exactly the batch anomaly set with bit-identical scores.
+  std::size_t equiv_events[2] = {};
+  std::size_t equiv_mismatches[2] = {};
+  bool equivalent[2] = {};
+  for (std::size_t g = 0; g < 2; ++g) {
     stream::ShardedConfig scfg = core::make_sharded_config(cfg, kZones);
-    scfg.shards = 4;
+    scfg.shards = gate_shards[g];
     scfg.stream.repair_inputs = false;
     scfg.stream.adapt_thresholds = false;
     scfg.stream.queue_max = hours * kZones;
@@ -336,81 +267,35 @@ int main(int argc, char** argv) {
       for (std::size_t z = 0; z < kZones; ++z) {
         pipe.ingest(static_cast<std::uint32_t>(z), t, zones[z].series[t]);
       }
-      if (t % 97 == 96) pipe.flush();  // off-cadence: rounds vary in width
+      if (t % 97 == 96) pipe.flush();
     }
     pipe.flush();
     std::vector<stream::AnomalyEvent> events;
     pipe.drain(events);
-    sharded_events = events.size();
-    sharded_mismatches = equivalence_mismatches(zones, lookback, events,
-                                                sharded_batch_flagged);
+    std::size_t batch_flagged = 0;
+    equiv_events[g] = events.size();
+    equiv_mismatches[g] =
+        equivalence_mismatches(zones, lookback, events, batch_flagged);
+    equivalent[g] =
+        equiv_mismatches[g] == 0 && equiv_events[g] == batch_flagged;
+    std::printf("frozen equivalence (%zu shards): %s (%zu events, %zu "
+                "batch-flagged, %zu mismatches)\n",
+                gate_shards[g], equivalent[g] ? "bit-identical" : "DIVERGED",
+                equiv_events[g], batch_flagged, equiv_mismatches[g]);
   }
-  const bool sharded_equivalent = sharded_mismatches == 0 &&
-                                  sharded_events == sharded_batch_flagged;
-  std::printf("sharded frozen equivalence (4 shards): %s (%zu events, "
-              "%zu mismatches)\n",
-              sharded_equivalent ? "bit-identical" : "DIVERGED",
-              sharded_events, sharded_mismatches);
 
   // --- 3. steady-state allocations -----------------------------------------
   // Clean continuation traffic, thresholds pinned far above any clean
   // score so nothing flags (a repair is allowed to allocate; the clean
-  // path is not).  Warmup fills every window, exercises several flushes
-  // and one drain; the measured region is whole ingest batches.
-  double allocs_per_batch = 0.0;
-  double bytes_per_batch = 0.0;
-  {
-    stream::StreamConfig sc = core::make_stream_config(cfg, kZones);
-    stream::StreamPipeline pipe(engine, sc);
-    for (std::size_t z = 0; z < kZones; ++z) {
-      pipe.add_zone(zones[z].scaler);
-      pipe.freeze_threshold(static_cast<std::uint32_t>(z), 1e30f);
-    }
-    const std::size_t warm_ticks =
-        lookback + 8 + (4 * sc.flush_batch + kZones - 1) / kZones;
-    const std::size_t meas_ticks = (12 * sc.flush_batch + kZones - 1) / kZones;
-    std::vector<stream::AnomalyEvent> sink;
-    for (std::size_t t = 0; t < warm_ticks; ++t) {
-      for (std::size_t z = 0; z < kZones; ++z) {
-        pipe.ingest(static_cast<std::uint32_t>(z), t,
-                    clean_value(z, t, lookback));
-      }
-    }
-    pipe.flush();
-    pipe.drain(sink);
-
-    const std::uint64_t f0 = pipe.stats().flushes_total;
-    const std::uint64_t a0 = g_alloc_count.load();
-    const std::uint64_t b0 = g_alloc_bytes.load();
-    for (std::size_t t = warm_ticks; t < warm_ticks + meas_ticks; ++t) {
-      for (std::size_t z = 0; z < kZones; ++z) {
-        pipe.ingest(static_cast<std::uint32_t>(z), t,
-                    clean_value(z, t, lookback));
-      }
-    }
-    const std::uint64_t a1 = g_alloc_count.load();
-    const std::uint64_t b1 = g_alloc_bytes.load();
-    const std::uint64_t flushes = pipe.stats().flushes_total - f0;
-    allocs_per_batch =
-        flushes > 0 ? static_cast<double>(a1 - a0) / flushes : 0.0;
-    bytes_per_batch =
-        flushes > 0 ? static_cast<double>(b1 - b0) / flushes : 0.0;
-    std::printf("steady state: %.1f allocs / %.0f bytes per ingest batch "
-                "(%llu batches measured)\n",
-                allocs_per_batch, bytes_per_batch,
-                static_cast<unsigned long long>(flushes));
-  }
-
-  // --- 3b. sharded steady-state allocations --------------------------------
-  // Same clean-traffic contract for the sharded runtime on its serial
-  // path: after warmup (windows full, rings/queues at their steady
-  // footprint), one ingest batch — ring pushes, drains, fan-in staging,
-  // one merged score call, scatter — must not touch the heap.
-  double sharded_allocs_per_batch = 0.0;
-  double sharded_bytes_per_batch = 0.0;
-  {
+  // path is not).  After warmup (windows full, rings and queues at their
+  // steady footprint, one drain), one ingest batch — ring pushes, drain,
+  // staging, fan-in, one merged score call per round, scatter — followed
+  // by a serial flush must not touch the heap.
+  double allocs_per_batch[2] = {};
+  double bytes_per_batch[2] = {};
+  for (std::size_t g = 0; g < 2; ++g) {
     stream::ShardedConfig scfg = core::make_sharded_config(cfg, kZones);
-    if (scfg.shards == 1) scfg.shards = 4;  // exercise real fan-in
+    scfg.shards = gate_shards[g];
     stream::ShardedPipeline pipe(engine, scfg);
     for (std::size_t z = 0; z < kZones; ++z) {
       pipe.add_zone(zones[z].scaler);
@@ -435,58 +320,55 @@ int main(int argc, char** argv) {
     pipe.drain(sink);
 
     const std::size_t meas_batches = 12;
-    const std::uint64_t a0 = g_alloc_count.load();
-    const std::uint64_t b0 = g_alloc_bytes.load();
+    const bench::AllocCount a0 = bench::alloc_now();
     run_batches(meas_batches);
-    const std::uint64_t a1 = g_alloc_count.load();
-    const std::uint64_t b1 = g_alloc_bytes.load();
-    sharded_allocs_per_batch =
-        static_cast<double>(a1 - a0) / meas_batches;
-    sharded_bytes_per_batch = static_cast<double>(b1 - b0) / meas_batches;
-    std::printf("sharded steady state (%zu shards): %.1f allocs / %.0f "
-                "bytes per ingest batch (%zu batches measured)\n",
-                scfg.shards, sharded_allocs_per_batch,
-                sharded_bytes_per_batch, meas_batches);
+    const bench::AllocCount a1 = bench::alloc_now();
+    allocs_per_batch[g] =
+        static_cast<double>(a1.count - a0.count) / meas_batches;
+    bytes_per_batch[g] =
+        static_cast<double>(a1.bytes - a0.bytes) / meas_batches;
+    std::printf("steady state (%zu shards): %.1f allocs / %.0f bytes per "
+                "ingest batch (%zu batches measured)\n",
+                gate_shards[g], allocs_per_batch[g], bytes_per_batch[g],
+                meas_batches);
   }
 
-  if (check_allocs) {
-    bool fail = false;
-    if (allocs_per_batch > 0.0) {
-      std::printf("FAIL: steady-state ingest allocates (%.1f/batch)\n",
-                  allocs_per_batch);
-      fail = true;
-    }
-    if (sharded_allocs_per_batch > 0.0) {
-      std::printf("FAIL: sharded steady-state ingest allocates "
+  // The deterministic gates, at both shard counts.
+  bool gates_fail = false;
+  for (std::size_t g = 0; g < 2; ++g) {
+    if (allocs_per_batch[g] > 0.0) {
+      std::printf("FAIL: %zu-shard steady-state ingest allocates "
                   "(%.1f/batch)\n",
-                  sharded_allocs_per_batch);
-      fail = true;
+                  gate_shards[g], allocs_per_batch[g]);
+      gates_fail = true;
     }
-    if (!equivalent) {
-      std::printf("FAIL: frozen-threshold stream diverged from the batch "
-                  "detector (%zu mismatches)\n",
-                  equiv_mismatches);
-      fail = true;
+    if (!equivalent[g]) {
+      std::printf("FAIL: %zu-shard frozen-threshold replay diverged from "
+                  "the batch detector (%zu mismatches)\n",
+                  gate_shards[g], equiv_mismatches[g]);
+      gates_fail = true;
     }
-    if (!sharded_equivalent) {
-      std::printf("FAIL: sharded frozen-threshold replay diverged from the "
-                  "batch detector (%zu mismatches)\n",
-                  sharded_mismatches);
-      fail = true;
+  }
+  if (check_allocs) {
+    if (!gates_fail) {
+      std::printf("OK: allocation-free at steady state and frozen replays "
+                  "match batch at 1 and %zu shards\n",
+                  gate_shards[1]);
     }
-    if (!fail) {
-      std::printf("OK: both runtimes are allocation-free at steady state "
-                  "and frozen replays match batch\n");
-    }
-    return fail ? 1 : 0;
+    return gates_fail ? 1 : 0;
   }
 
   // --- 2. adaptive soak: throughput, churn, back-pressure, recall ----------
-  // Seeded (adapting) thresholds, online repair, three churn outages per
+  // One shard, one producer that flushes every --stream-flush samples:
+  // seeded (adapting) thresholds, online repair, three churn outages per
   // zone, a concurrent-shaped drain cadence.  Recall is compared on the
   // labelled samples both detectors could score (churn refills excluded).
-  stream::StreamConfig soak_cfg = core::make_stream_config(cfg, kZones);
-  stream::StreamPipeline pipe(engine, soak_cfg, &registry);
+  stream::ShardedConfig soak_cfg = core::make_sharded_config(cfg, kZones);
+  soak_cfg.shards = 1;
+  soak_cfg.ring_max = hours * kZones;  // lossless: parity needs every sample
+  soak_cfg.ring_shrink = 1024;
+  const std::size_t flush_batch = soak_cfg.stream.flush_batch;
+  stream::ShardedPipeline pipe(engine, soak_cfg, &registry);
   for (std::size_t z = 0; z < kZones; ++z) {
     pipe.add_zone(zones[z].scaler);
     pipe.seed_threshold(static_cast<std::uint32_t>(z),
@@ -509,7 +391,7 @@ int main(int argc, char** argv) {
     for (std::size_t z = 0; z < kZones; ++z) {
       if (in_outage(z, t)) continue;  // churn: the zone misses these hours
       pipe.ingest(static_cast<std::uint32_t>(z), t, zones[z].series[t]);
-      ++ingested;
+      if (++ingested % flush_batch == 0) pipe.flush();
     }
     if (t % 400 == 399) pipe.drain(events);
   }
@@ -568,8 +450,8 @@ int main(int argc, char** argv) {
 
   std::printf("=== stream soak (%zu zones x %zu hours, seq %zu, hidden %zu, "
               "flush %zu, queue %zu) ===\n",
-              kZones, hours, lookback, model_cfg.lstm_units,
-              soak_cfg.flush_batch, soak_cfg.queue_max);
+              kZones, hours, lookback, model_cfg.lstm_units, flush_batch,
+              soak_cfg.stream.queue_max);
   std::printf("throughput: %.0f samples/s sustained (%.3f s soak), flush "
               "p50 %.3f ms p99 %.3f ms\n",
               samples_per_sec, soak_secs, flush_p50_ms, flush_p99_ms);
@@ -713,25 +595,26 @@ int main(int argc, char** argv) {
     json << "{\n  \"config\": {\"zones\": " << kZones
          << ", \"hours_per_zone\": " << hours << ", \"seq\": " << lookback
          << ", \"hidden\": " << model_cfg.lstm_units
-         << ", \"flush_batch\": " << soak_cfg.flush_batch
-         << ", \"queue_max\": " << soak_cfg.queue_max
+         << ", \"flush_batch\": " << flush_batch
+         << ", \"queue_max\": " << soak_cfg.stream.queue_max
+         << ", \"fanin_shards\": " << gate_shards[1]
          << ", \"seed\": " << cfg.seed << "},\n"
          << "  \"samples_per_sec\": " << samples_per_sec << ",\n"
          << "  \"soak_seconds\": " << soak_secs << ",\n"
          << "  \"flush_p50_ms\": " << flush_p50_ms << ",\n"
          << "  \"flush_p99_ms\": " << flush_p99_ms << ",\n"
-         << "  \"allocs_per_ingest_batch\": " << allocs_per_batch << ",\n"
-         << "  \"bytes_per_ingest_batch\": " << bytes_per_batch << ",\n"
-         << "  \"sharded_allocs_per_ingest_batch\": "
-         << sharded_allocs_per_batch << ",\n"
-         << "  \"sharded_bytes_per_ingest_batch\": "
-         << sharded_bytes_per_batch << ",\n"
-         << "  \"frozen_equivalent\": " << (equivalent ? "true" : "false")
+         << "  \"allocs_per_ingest_batch\": " << allocs_per_batch[0] << ",\n"
+         << "  \"bytes_per_ingest_batch\": " << bytes_per_batch[0] << ",\n"
+         << "  \"sharded_allocs_per_ingest_batch\": " << allocs_per_batch[1]
          << ",\n"
-         << "  \"equivalence_mismatches\": " << equiv_mismatches << ",\n"
+         << "  \"sharded_bytes_per_ingest_batch\": " << bytes_per_batch[1]
+         << ",\n"
+         << "  \"frozen_equivalent\": "
+         << (equivalent[0] ? "true" : "false") << ",\n"
+         << "  \"equivalence_mismatches\": " << equiv_mismatches[0] << ",\n"
          << "  \"sharded_frozen_equivalent\": "
-         << (sharded_equivalent ? "true" : "false") << ",\n"
-         << "  \"sharded_equivalence_mismatches\": " << sharded_mismatches
+         << (equivalent[1] ? "true" : "false") << ",\n"
+         << "  \"sharded_equivalence_mismatches\": " << equiv_mismatches[1]
          << ",\n"
          << "  \"stats\": {\"samples_total\": " << st.samples_total
          << ", \"scored_total\": " << st.scored_total
@@ -769,26 +652,11 @@ int main(int argc, char** argv) {
   registry.write_json_file(metrics_path);
   std::printf("metrics: %s\n", metrics_path.c_str());
 
-  bool fail = false;
-  if (!equivalent) {
-    std::printf("FAIL: frozen-threshold stream diverged from the batch "
-                "detector\n");
-    fail = true;
-  }
-  if (!sharded_equivalent) {
-    std::printf("FAIL: sharded frozen-threshold replay diverged from the "
-                "batch detector\n");
-    fail = true;
-  }
+  bool fail = gates_fail;
   if (recall_delta > 0.02) {
     std::printf("FAIL: streaming recall %.4f strays more than 0.02 from "
                 "batch recall %.4f\n",
                 recall_stream, recall_batch);
-    fail = true;
-  }
-  if (sharded_allocs_per_batch > 0.0) {
-    std::printf("FAIL: sharded steady-state ingest allocates (%.1f/batch)\n",
-                sharded_allocs_per_batch);
     fail = true;
   }
   for (const SweepPoint& pt : sweep) {

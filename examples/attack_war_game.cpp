@@ -100,8 +100,10 @@ int main() {
   hostile.latency_ms_per_kib = 0.5;
   fl::InMemoryNetwork net(hostile);
 
-  fl::ThreadedDriver driver(server, clients, net);
-  const fl::FederatedRunResult run = driver.run(4, 60'000.0);
+  fl::RoundPolicy policy;
+  policy.round_deadline_ms = 60'000.0;
+  fl::ThreadedDriver driver(server, clients, net, nullptr, nullptr, policy);
+  const fl::FederatedRunResult run = driver.run(4);
   for (const fl::RoundMetrics& r : run.rounds) {
     std::cout << "  round " << r.round << ": " << r.updates_received
               << "/3 updates survived the network, loss "

@@ -136,8 +136,6 @@ void apply_cli_overrides(ExperimentConfig& cfg, int argc, char** argv) {
                     "' (expected 0 for fp32 or 8 for int8)");
       }
       cfg.serve_quant_bits = static_cast<int>(bits);
-    } else if (key == "--stream") {
-      cfg.stream = parse_unsigned(key, value) != 0;
     } else if (key == "--stream-queue-max") {
       const std::uint64_t n = parse_unsigned(key, value);
       if (n < 1 || n > 1'048'576) {
@@ -214,12 +212,6 @@ std::string describe(const ExperimentConfig& cfg) {
   if (cfg.fleet_clients > 0) {
     os << " clients=" << cfg.fleet_clients << " edges=" << cfg.fleet_edges
        << " sample-frac=" << cfg.sample_frac;
-  }
-  if (cfg.stream) {
-    os << " stream=1 stream-queue-max=" << cfg.stream_queue_max
-       << " stream-flush=" << cfg.stream_flush
-       << " stream-shards=" << cfg.stream_shards
-       << " stream-drift-z=" << cfg.stream_drift_z;
   }
   return os.str();
 }

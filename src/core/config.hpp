@@ -51,15 +51,13 @@ struct ExperimentConfig {
   std::size_t serve_batch = 32;
   int serve_quant_bits = 0;
 
-  /// Streaming online detection (stream::StreamPipeline /
-  /// stream::ShardedPipeline, bench_stream): `stream` turns the mode on for
-  /// drivers that support it; queue-max/flush bound the event queue
-  /// (drop-oldest past the max) and the pending-sample count that triggers
-  /// an automatic flush.  `stream_shards` > 1 selects the sharded runtime
-  /// (zones hash-partitioned across that many worker partitions);
+  /// Streaming online detection (stream::ShardedPipeline, bench_stream):
+  /// queue-max bounds the event queue (drop-oldest past the max) and each
+  /// shard's ingest ring; flush sizes each zone's pending-sample reserve
+  /// (the samples it takes between flushes without allocating);
+  /// `stream_shards` hash-partitions the zones across that many shards;
   /// `stream_drift_z` > 0 arms per-zone drift-triggered threshold
   /// re-seeding at that z-bound (0 = probe off).
-  bool stream = false;
   std::size_t stream_queue_max = 4096;
   std::size_t stream_flush = 256;
   std::size_t stream_shards = 1;

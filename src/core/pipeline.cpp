@@ -293,26 +293,19 @@ metrics::DetectionMetrics detection_metrics(const ClientData& client) {
                                      client.filter_result.flags);
 }
 
-stream::StreamConfig make_stream_config(const ExperimentConfig& cfg,
-                                        std::size_t zones) {
-  EVFL_REQUIRE(zones >= 1, "make_stream_config needs at least one zone");
-  stream::StreamConfig sc;
-  sc.max_zones = zones;
-  sc.threshold = cfg.filter.threshold;
-  sc.queue_max = cfg.stream_queue_max;
-  // Shrink watermark at a quarter of the bound (>= 1): bursts borrow up to
-  // the max, steady state keeps a small resident ring.
-  sc.queue_shrink = std::max<std::size_t>(1, cfg.stream_queue_max / 4);
-  sc.flush_batch = cfg.stream_flush;
-  sc.drift_z = cfg.stream_drift_z;
-  return sc;
-}
-
 stream::ShardedConfig make_sharded_config(const ExperimentConfig& cfg,
                                           std::size_t zones) {
+  EVFL_REQUIRE(zones >= 1, "make_sharded_config needs at least one zone");
   stream::ShardedConfig sc;
   sc.shards = cfg.stream_shards;
-  sc.stream = make_stream_config(cfg, zones);
+  sc.stream.max_zones = zones;
+  sc.stream.threshold = cfg.filter.threshold;
+  sc.stream.queue_max = cfg.stream_queue_max;
+  // Shrink watermark at a quarter of the bound (>= 1): bursts borrow up to
+  // the max, steady state keeps a small resident ring.
+  sc.stream.queue_shrink = std::max<std::size_t>(1, cfg.stream_queue_max / 4);
+  sc.stream.flush_batch = cfg.stream_flush;
+  sc.stream.drift_z = cfg.stream_drift_z;
   // Ring bound mirrors the event-queue knob (both are "how much burst the
   // runtime absorbs before counted drops"), clamped to the MpscRing floor;
   // watermark at a quarter of it like the event queue.

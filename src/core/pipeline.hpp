@@ -13,7 +13,6 @@
 #include "data/window.hpp"
 #include "metrics/classification.hpp"
 #include "runtime/run_context.hpp"
-#include "stream/pipeline.hpp"
 #include "stream/sharded.hpp"
 
 namespace evfl::core {
@@ -76,18 +75,14 @@ data::MinMaxScaler fit_shared_scaler(const std::vector<ClientData>& clients,
 /// Detection quality of the fitted filter on the attacked series.
 metrics::DetectionMetrics detection_metrics(const ClientData& client);
 
-/// Map the experiment's --stream knobs onto a StreamPipeline configuration
-/// for `zones` ingestion zones: the detection threshold rule is shared with
-/// the batch filter, the queue bound comes from --stream-queue-max (shrink
-/// watermark at a quarter of it), and --stream-flush sets the auto-flush
-/// batch.  Used by the streaming drivers and bench_stream.
-stream::StreamConfig make_stream_config(const ExperimentConfig& cfg,
-                                        std::size_t zones);
-
-/// Same mapping for the sharded runtime: shard count from --stream-shards,
-/// per-zone semantics from make_stream_config (including --stream-drift-z),
-/// per-shard ingest-ring bound mirroring --stream-queue-max (floor 8,
-/// watermark at a quarter).  Used by bench_stream's shard sweep.
+/// Map the experiment's --stream-* knobs onto the streaming runtime for
+/// `zones` ingestion zones: shard count from --stream-shards, the
+/// detection threshold rule shared with the batch filter, the event-queue
+/// bound from --stream-queue-max (shrink watermark at a quarter of it), the
+/// per-zone queue reserve from --stream-flush, the drift bound from
+/// --stream-drift-z, and a per-shard ingest-ring bound mirroring
+/// --stream-queue-max (floor 8, watermark at a quarter).  Used by
+/// bench_stream.
 stream::ShardedConfig make_sharded_config(const ExperimentConfig& cfg,
                                           std::size_t zones);
 

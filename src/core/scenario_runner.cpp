@@ -126,7 +126,8 @@ ScenarioResult ScenarioRunner::run_federated(DataScenario scenario) {
   std::unique_ptr<fl::Driver> driver;
   if (cfg_.threaded) {
     driver = std::make_unique<fl::ThreadedDriver>(server, fl_clients, net,
-                                                  nullptr, &ctx_, &rounds_,
+                                                  &ctx_, nullptr,
+                                                  fl::RoundPolicy{}, &rounds_,
                                                   adv);
   } else {
     driver = std::make_unique<fl::SyncDriver>(server, fl_clients, net, &ctx_,

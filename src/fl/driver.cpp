@@ -404,15 +404,17 @@ FederatedRunResult SyncDriver::run(std::size_t rounds) {
 ThreadedDriver::ThreadedDriver(Server& server,
                                std::vector<std::unique_ptr<Client>>& clients,
                                InMemoryNetwork& net,
-                               const faults::FaultInjector* injector,
                                const runtime::RunContext* ctx,
+                               const faults::FaultInjector* injector,
+                               RoundPolicy policy,
                                obs::RoundTelemetrySink* telemetry,
                                const AdversarySuite* adversary)
     : server_(&server),
       clients_(&clients),
       net_(&net),
-      injector_(injector),
       ctx_(ctx),
+      injector_(injector),
+      policy_(policy),
       telemetry_(telemetry),
       adversary_(adversary) {
   EVFL_REQUIRE(!clients.empty(), "ThreadedDriver needs clients");
@@ -420,18 +422,6 @@ ThreadedDriver::ThreadedDriver(Server& server,
 }
 
 FederatedRunResult ThreadedDriver::run(std::size_t rounds) {
-  return run(rounds, RoundPolicy{});
-}
-
-FederatedRunResult ThreadedDriver::run(std::size_t rounds,
-                                       double collect_timeout_ms) {
-  RoundPolicy policy;
-  policy.round_deadline_ms = collect_timeout_ms;
-  return run(rounds, policy);
-}
-
-FederatedRunResult ThreadedDriver::run(std::size_t rounds,
-                                       const RoundPolicy& policy) {
   const auto t0 = Clock::now();
   FederatedRunResult result;
   const std::size_t n = clients_->size();
@@ -445,7 +435,7 @@ FederatedRunResult ThreadedDriver::run(std::size_t rounds,
   // must out-wait the deadline (plus slack for aggregation) before deciding
   // the server is gone, or every long round ends the fleet.
   serve_opts.receive_timeout_ms = std::max(serve_opts.receive_timeout_ms,
-                                           policy.round_deadline_ms * 1.25);
+                                           policy_.round_deadline_ms * 1.25);
 
   std::vector<std::thread> workers;
   workers.reserve(n);
@@ -469,7 +459,7 @@ FederatedRunResult ThreadedDriver::run(std::size_t rounds,
     round_span.annotate("round", static_cast<std::uint64_t>(round));
     round_span.annotate("clients", static_cast<std::uint64_t>(n));
     const std::vector<std::size_t> sampled =
-        select_sampled(policy.sampling, round, ids);
+        select_sampled(policy_.sampling, round, ids);
     round_span.annotate("sampled", static_cast<std::uint64_t>(sampled.size()));
     // One shared broadcast buffer for the whole cohort: every sampled
     // client's mailbox references the same refcounted payload, so the
@@ -493,7 +483,7 @@ FederatedRunResult ThreadedDriver::run(std::size_t rounds,
     std::uint64_t logical_up = 0;
     while (fresh_senders.size() < broadcasts_delivered) {
       const double elapsed_ms = seconds_since(round_t0) * 1000.0;
-      const double remaining = policy.round_deadline_ms - elapsed_ms;
+      const double remaining = policy_.round_deadline_ms - elapsed_ms;
       if (remaining <= 0.0) break;
       std::optional<Message> msg = net_->receive(kServerNode, remaining);
       if (!msg) break;

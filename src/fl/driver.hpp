@@ -158,31 +158,27 @@ class SyncDriver : public Driver {
 
 class ThreadedDriver : public Driver {
  public:
-  /// `ctx` is used only for its trace writer (worker threads schedule
-  /// themselves); `telemetry` receives one RoundTelemetry per round;
-  /// `adversary` is handed to every client's serve loop.
+  /// Same parameters as SyncDriver.  `ctx` is used only for its trace
+  /// writer (worker threads schedule themselves); rounds close at
+  /// policy.round_deadline_ms — the server aggregates the validated
+  /// partial set and never blocks past the deadline; `adversary` is handed
+  /// to every client's serve loop.
   ThreadedDriver(Server& server, std::vector<std::unique_ptr<Client>>& clients,
-                 InMemoryNetwork& net,
+                 InMemoryNetwork& net, const runtime::RunContext* ctx = nullptr,
                  const faults::FaultInjector* injector = nullptr,
-                 const runtime::RunContext* ctx = nullptr,
+                 RoundPolicy policy = {},
                  obs::RoundTelemetrySink* telemetry = nullptr,
                  const AdversarySuite* adversary = nullptr);
 
   FederatedRunResult run(std::size_t rounds) override;
 
-  /// Legacy overload: `collect_timeout_ms` is the per-round deadline.
-  FederatedRunResult run(std::size_t rounds, double collect_timeout_ms);
-
-  /// Rounds close at policy.round_deadline_ms — the server aggregates the
-  /// validated partial set and never blocks past the deadline.
-  FederatedRunResult run(std::size_t rounds, const RoundPolicy& policy);
-
  private:
   Server* server_;
   std::vector<std::unique_ptr<Client>>* clients_;
   InMemoryNetwork* net_;
-  const faults::FaultInjector* injector_;
   const runtime::RunContext* ctx_;
+  const faults::FaultInjector* injector_;
+  RoundPolicy policy_;
   obs::RoundTelemetrySink* telemetry_;
   const AdversarySuite* adversary_;
 };

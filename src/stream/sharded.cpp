@@ -31,7 +31,6 @@ ShardedPipeline::ShardedPipeline(forecast::Engine& engine,
   const std::size_t batch = cfg_.stream.max_zones;
   EVFL_REQUIRE(engine_.config().max_batch >= batch,
                "ShardedPipeline needs engine max_batch >= max_zones");
-  shard_staging_ = tensor::Tensor3(batch, lookback_, 1);
   staging_ = tensor::Tensor3(batch, lookback_, 1);
   scores_.assign(batch, 0.0f);
   zones_.reserve(cfg_.stream.max_zones);
@@ -118,7 +117,7 @@ void ShardedPipeline::drain_ring(Shard& sh) {
 
 void ShardedPipeline::stage_shard(Shard& sh) {
   sh.rows = 0;
-  float* base = shard_staging_.data() + sh.stage_base * lookback_;
+  float* base = staging_.data() + sh.stage_base * lookback_;
   for (std::uint32_t zid : sh.zone_ids) {
     detail::ZoneState& z = zones_[zid];
     if (z.cursor >= z.queue.size()) continue;
@@ -147,7 +146,7 @@ void ShardedPipeline::scatter_shard(Shard& sh) {
 }
 
 std::size_t ShardedPipeline::flush(const runtime::RunContext* ctx) {
-  obs::TraceSpan span(trace_, "stream.sharded.flush", "stream");
+  obs::TraceSpan span(trace_, "stream.flush", "stream");
   const auto start = std::chrono::steady_clock::now();
 
   const bool par =
@@ -187,17 +186,20 @@ std::size_t ShardedPipeline::flush(const runtime::RunContext* ctx) {
     // changes the window sample t+1 is scored against) ...
     run_shards([&](Shard& sh) { stage_shard(sh); });
 
-    // ... the control thread compacts the shards' staged blocks into one
-    // contiguous prefix, so the engine sees a single wide batch covering
-    // every shard — batch efficiency scales with fleet size, not
-    // per-shard zone count ...
+    // ... the control thread compacts the shards' staged blocks in place
+    // into one contiguous prefix, so the engine sees a single wide batch
+    // covering every shard — batch efficiency scales with fleet size, not
+    // per-shard zone count.  A block only ever moves down (row_offset <=
+    // stage_base), and its target ends at or before the next shard's
+    // stage_base, so no block overwrites one still to be moved; a block
+    // already in place (always, with one shard) is skipped ...
     std::size_t total_rows = 0;
     for (auto& sh : shards_) {
       sh->row_offset = total_rows;
-      if (sh->rows > 0) {
-        std::memcpy(staging_.data() + total_rows * lookback_,
-                    shard_staging_.data() + sh->stage_base * lookback_,
-                    sh->rows * lookback_ * sizeof(float));
+      if (sh->rows > 0 && sh->row_offset != sh->stage_base) {
+        std::memmove(staging_.data() + sh->row_offset * lookback_,
+                     staging_.data() + sh->stage_base * lookback_,
+                     sh->rows * lookback_ * sizeof(float));
       }
       total_rows += sh->rows;
     }

@@ -1,24 +1,41 @@
-// evfl::stream::ShardedPipeline — the multi-core streaming runtime
-// (DESIGN.md §15).  StreamPipeline (pipeline.hpp) is single-producer: one
-// thread owns ingest and flush, and one engine round batches at most one
-// sample per zone.  A fleet-scale deployment has neither property — many
-// collector threads deliver samples concurrently, and one core cannot keep
-// up with the per-sample bookkeeping.  ShardedPipeline keeps the exact
-// per-zone semantics (zone_state.hpp, shared verbatim with StreamPipeline)
-// and changes only who runs them:
+// evfl::stream::ShardedPipeline — the streaming detection runtime
+// (DESIGN.md §14–15), the online counterpart of the batch pipeline
+// (core/pipeline).  The batch detector windows a finished series, scores
+// every window, sets one threshold from the whole score vector and repairs
+// with full lookahead.  A deployed detector sees samples one at a time per
+// zone, adapts thresholds without rescanning history, and repairs from the
+// past only.  Per zone (stream/zone_state.hpp):
 //
-//   - zones are hash-partitioned across `shards` (zone % shards); each
-//     shard owns its zones' sliding windows, incremental thresholds, drift
-//     probes, and repair scratch outright, so shard workers run the whole
-//     prepare/apply state machine lock-free on disjoint state;
+//   - a sliding window of the last `lookback` scaled values feeds the
+//     batched forecast::Engine (DESIGN.md §13).  A zone whose window holds
+//     fewer than `lookback` samples — at zone start and after every churn
+//     gap — is NOT scored ("not ready", a counted outcome): a zero-padded
+//     window would fire spurious anomalies at every zone (re)start;
+//   - thresholds are anomaly::IncrementalThreshold state, seedable from
+//     calibration scores and freezable for strict batch equivalence; an
+//     optional anomaly::DriftProbe re-seeds the estimator when the score
+//     distribution shifts faster than winsorized adaptation tracks;
+//   - online repair applies the paper's linear interpolation at the live
+//     window edge (anomaly::impute_segments): with no future anchor it
+//     holds the nearest trustworthy left neighbour, and the repaired value
+//     — not the anomalous raw one — extends the window;
+//   - events leave through a BoundedQueue with drop-oldest back-pressure
+//     and shrink-on-drain (queue.hpp), so a stalled consumer costs bounded
+//     memory and a counted drop.
+//
+// Zones are hash-partitioned across `shards` (zone % shards); each shard
+// owns its zones' state outright, so shard workers run the per-zone state
+// machine lock-free on disjoint state.  One shard is the single-producer
+// detector; more shards spread the per-sample bookkeeping over a pool.
+//
 //   - ingest is multi-producer: any thread may ingest() any zone at any
 //     time; the sample lands in the owning shard's bounded MPSC ring
 //     (mpsc_ring.hpp — reserve/commit fast path, drop-oldest past the hard
-//     bound with an exact count, shrink-on-drain).  Producers never flush;
-//     the control thread drives cadence;
+//     bound with an exact count, shrink-on-drain).  ingest() never scores:
+//     the control thread sets the cadence by calling flush();
 //   - flush() fans in: every shard stages its ready rows into its own
-//     region of a staging tensor, the control thread compacts those
-//     regions into one contiguous prefix and makes a single wide
+//     region of one staging tensor, the control thread moves those blocks
+//     into one contiguous prefix and makes a single wide
 //     forecast::Engine::score() call for ALL shards' rows — engine batch
 //     efficiency scales with total zones, not per-shard zones — then
 //     shards scatter their scores back through apply_forecast() in
@@ -27,22 +44,24 @@
 //     first), so consumer-visible order is deterministic.
 //
 // Determinism contract: per-zone outputs (scores, flags, events,
-// thresholds) are bit-identical regardless of shard count or producer
-// interleaving, and — frozen — bit-identical to StreamPipeline and
-// batch_scores().  The argument: an engine row's result is independent
-// of batch composition (pinned by the engine's own tests); zone state is
-// touched only by its owning shard in the zone's sample order; and
-// per-zone sample order is whatever the producers delivered — identical
-// interleavings give identical results, and a single producer per zone
-// (the common collector topology) makes the whole pipeline deterministic
-// end to end (tests/test_sharded.cpp pins 1/2/4/8-shard equality).
+// thresholds) are bit-identical regardless of shard count, flush cadence
+// or producer interleaving, and — frozen — bit-identical to the batch
+// detector built on batch_scores().  The argument: an engine row's result
+// is independent of batch composition (pinned by the engine's own tests);
+// zone state is touched only by its owning shard in the zone's sample
+// order; and per-zone sample order is whatever the producers delivered —
+// identical interleavings give identical results, and a single producer
+// per zone (the common collector topology) makes the whole pipeline
+// deterministic end to end (tests/test_sharded.cpp pins 1/2/3/4/8-shard
+// equality, tests/test_stream.cpp the batch equivalence).
 //
 // Threading: ingest() from any number of threads, concurrently with one
 // control thread calling flush(); drain() is safe from consumer threads.
 // add_zone()/seed_threshold()/freeze_threshold() are setup-phase only —
 // never concurrent with ingest() or flush().  After warmup, a serial
 // flush() of clean data allocates nothing (bench_stream --check-allocs
-// pins this per shard).
+// pins this at one shard and at fan-in; repairing a flagged sample may
+// allocate transiently inside the shared imputation routine).
 #pragma once
 
 #include <cstdint>
@@ -66,10 +85,8 @@ namespace evfl::stream {
 struct ShardedConfig {
   /// Shard (worker-partition) count; zone z belongs to shard z % shards.
   std::size_t shards = 1;
-  /// Per-zone semantics and sizing, shared with StreamPipeline.
-  /// `max_zones` is the TOTAL across all shards; `flush_batch` only sizes
-  /// the per-zone queue reserve (producers cannot flush — the control
-  /// thread owns cadence).
+  /// Per-zone semantics and sizing.  `max_zones` is the TOTAL across all
+  /// shards; `flush_batch` only sizes the per-zone queue reserve.
   StreamConfig stream{};
   /// Per-shard ingest-ring hard bound and post-drain storage watermark
   /// (MpscRing contract: 8 <= shrink <= max).
@@ -80,8 +97,12 @@ struct ShardedConfig {
 class ShardedPipeline {
  public:
   /// The engine must outlive the pipeline and accept batches of
-  /// cfg.stream.max_zones.  Optional registry/trace as in
-  /// StreamPipeline (counters gain stream.ingest_dropped).
+  /// cfg.stream.max_zones.  `registry` (optional) receives
+  /// stream.queue_depth / stream.events_dropped gauges,
+  /// stream.samples_total / events_total / not_ready_total / gaps_total /
+  /// reseeds_total / ingest_dropped counters and a stream.flush_seconds
+  /// histogram; `trace` (optional) gets one stream.flush span per flush().
+  /// Both must outlive the pipeline.
   ShardedPipeline(forecast::Engine& engine, const ShardedConfig& cfg,
                   obs::Registry* registry = nullptr,
                   obs::TraceWriter* trace = nullptr);
@@ -89,17 +110,25 @@ class ShardedPipeline {
   ShardedPipeline(const ShardedPipeline&) = delete;
   ShardedPipeline& operator=(const ShardedPipeline&) = delete;
 
-  /// Register a zone (setup phase only); returns the global zone id.
-  /// Zone ids are assigned in call order, so shard ownership is
-  /// reproducible: zone i lives on shard i % shards.
+  /// Register a zone with its fitted scaler (setup phase only); returns
+  /// the global zone id.  Zone ids are assigned in call order, so shard
+  /// ownership is reproducible: zone i lives on shard i % shards.  Zones
+  /// start empty (not ready) with no threshold: until seeded/frozen or
+  /// enough scores adapt one in, nothing is flagged.
   std::uint32_t add_zone(const data::MinMaxScaler& scaler);
 
-  /// Setup-phase threshold controls, identical to StreamPipeline.
+  /// Setup phase: fold calibration scores (e.g. a clean prefix scored by
+  /// batch_scores) into the zone's estimator and arm the threshold.
   void seed_threshold(std::uint32_t zone, const std::vector<float>& scores);
+  /// Setup phase: pin the zone's threshold; it never adapts (or re-seeds)
+  /// afterwards — the strict batch-equivalence mode.
   void freeze_threshold(std::uint32_t zone, float threshold);
 
   /// Enqueue one sample — safe from ANY thread, concurrently with flush().
-  /// Back-pressure: a full shard ring drops its oldest sample (counted in
+  /// `t` is the zone's sample clock: any step other than last_t + 1 is
+  /// churn (gap or restart) and resets the zone's window to not-ready when
+  /// the sample is processed.  Never scores; flush() does.  Back-pressure:
+  /// a full shard ring drops its oldest sample (counted in
   /// stats().ingest_dropped), never blocks the producer unboundedly.
   void ingest(std::uint32_t zone, std::uint64_t t, float value);
 
@@ -149,9 +178,9 @@ class ShardedPipeline {
     detail::RepairScratch repair;
     StreamStats stats;  // single-writer (this shard)
     std::size_t pending = 0;  // queued-in-zones, not yet processed
-    // Per-round staging metadata: the shard's staged rows live at
-    // [stage_base, stage_base + rows) of the shard staging tensor and
-    // score at [row_offset, row_offset + rows) of the merged batch.
+    // Per-round staging metadata: the shard stages its rows at
+    // [stage_base, stage_base + rows) of the staging tensor; they score at
+    // [row_offset, row_offset + rows) of the merged batch.
     std::size_t stage_base = 0;
     std::size_t rows = 0;
     std::size_t row_offset = 0;
@@ -175,10 +204,9 @@ class ShardedPipeline {
   std::vector<detail::ZoneState> zones_;  // indexed by global zone id
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Fan-in scratch: shards stage into disjoint regions of shard_staging_;
-  // the control thread compacts live rows into a contiguous prefix of
-  // staging_ and scores once.
-  tensor::Tensor3 shard_staging_;
+  // Fan-in scratch: shards stage into disjoint regions of staging_; the
+  // control thread compacts those blocks in place into a contiguous prefix
+  // and scores once.
   tensor::Tensor3 staging_;
   std::vector<float> scores_;
 

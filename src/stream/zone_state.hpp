@@ -1,9 +1,8 @@
 // Per-zone streaming state machine — the parts of online detection that
-// belong to exactly one zone, factored out of StreamPipeline so the
-// sharded runtime (stream/sharded.hpp) runs the *same* semantics on every
-// shard: window fill/churn, not-ready handling, edge repair, the
-// threshold decision, winsorized adaptation, and drift-triggered
-// re-seeding (DESIGN.md §14–15).
+// belong to exactly one zone, which every shard of the streaming runtime
+// (stream/sharded.hpp) runs on the zones it owns: window fill/churn,
+// not-ready handling, edge repair, the threshold decision, winsorized
+// adaptation, and drift-triggered re-seeding (DESIGN.md §14–15).
 //
 // The split is prepare/apply around the engine call:
 //
@@ -59,8 +58,7 @@ struct StreamStats {
   std::uint64_t nonfinite_inputs = 0; // NaN/Inf raw samples
   std::uint64_t nonfinite_scores = 0; // scores rejected before thresholding
   std::uint64_t reseeds_total = 0;    // drift-triggered threshold re-seeds
-  std::uint64_t ingest_dropped = 0;   // samples lost to ingest-ring back-pressure
-                                      // (sharded path only)
+  std::uint64_t ingest_dropped = 0;   // lost to ingest-ring back-pressure
   std::uint64_t flushes_total = 0;
 };
 
@@ -94,8 +92,8 @@ struct ZoneState {
   std::size_t cursor = 0;            // next unprocessed index
 
   /// Size every buffer up front (`queue_reserve` keeps enqueue
-  /// allocation-free up to the auto-flush batch); `drift_z` <= 0 leaves
-  /// the probe disabled.
+  /// allocation-free up to that many samples between flushes); `drift_z`
+  /// <= 0 leaves the probe disabled.
   void init(const data::MinMaxScaler& fitted_scaler, std::size_t lookback,
             const anomaly::ThresholdRule& rule, double drift_z,
             std::size_t drift_window, std::size_t queue_reserve);

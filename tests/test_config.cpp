@@ -117,9 +117,8 @@ TEST(CliOverrides, AppliesStreamKnobs) {
   ExperimentConfig cfg;
   EXPECT_EQ(cfg.stream_shards, 1u);        // sharding off by default
   EXPECT_DOUBLE_EQ(cfg.stream_drift_z, 0.0);  // drift probe off by default
-  apply(cfg, {"--stream", "1", "--stream-queue-max", "512", "--stream-flush",
-              "64", "--stream-shards", "8", "--stream-drift-z", "4.5"});
-  EXPECT_TRUE(cfg.stream);
+  apply(cfg, {"--stream-queue-max", "512", "--stream-flush", "64",
+              "--stream-shards", "8", "--stream-drift-z", "4.5"});
   EXPECT_EQ(cfg.stream_queue_max, 512u);
   EXPECT_EQ(cfg.stream_flush, 64u);
   EXPECT_EQ(cfg.stream_shards, 8u);

@@ -124,9 +124,11 @@ TEST(ThreadedDriver, SkipsStragglersPastDeadline) {
   auto clients = make_clients(512, 7);  // slower training
   Server server({0.0f, 0.0f});
   InMemoryNetwork net;
-  ThreadedDriver driver(server, clients, net);
   // Absurdly short collect deadline: rounds proceed with whatever arrived.
-  const FederatedRunResult result = driver.run(2, 1.0);
+  RoundPolicy policy;
+  policy.round_deadline_ms = 1.0;
+  ThreadedDriver driver(server, clients, net, nullptr, nullptr, policy);
+  const FederatedRunResult result = driver.run(2);
   ASSERT_EQ(result.rounds.size(), 2u);
   for (const auto& r : result.rounds) {
     EXPECT_LE(r.updates_received, 3u);
@@ -172,7 +174,8 @@ TEST(ThreadedDriver, RecordsRoundTelemetry) {
   Server server({0.0f, 0.0f});
   InMemoryNetwork net;
   obs::RoundTelemetrySink sink;
-  ThreadedDriver driver(server, clients, net, nullptr, nullptr, &sink);
+  ThreadedDriver driver(server, clients, net, nullptr, nullptr, RoundPolicy{},
+                        &sink);
   driver.run(2);
 
   ASSERT_EQ(sink.size(), 2u);

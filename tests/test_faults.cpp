@@ -313,10 +313,10 @@ FederatedRunResult run_threaded_straggler(std::uint64_t client_seed) {
   FaultPlan plan;
   plan.straggle(2, 600.0);  // client 2 sleeps 600 ms before every upload
   const FaultInjector injector(plan, 11);
-  ThreadedDriver driver(server, clients, net, &injector);
   RoundPolicy policy;
   policy.round_deadline_ms = 250.0;
-  return driver.run(4, policy);
+  ThreadedDriver driver(server, clients, net, nullptr, &injector, policy);
+  return driver.run(4);
 }
 
 TEST(Faults, ThreadedStragglerRoundsCloseAtDeadlineDeterministically) {

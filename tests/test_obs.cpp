@@ -333,7 +333,7 @@ TEST(TraceWriter, ThreadedDriverFlushesSpansAtTeardown) {
   auto clients = flush_test_clients();
   fl::Server server({0.0f, 0.0f});
   fl::InMemoryNetwork net;
-  fl::ThreadedDriver driver(server, clients, net, nullptr, &ctx);
+  fl::ThreadedDriver driver(server, clients, net, &ctx);
   driver.run(1);
 
   std::ifstream in(path);

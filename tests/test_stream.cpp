@@ -1,4 +1,4 @@
-#include "stream/pipeline.hpp"
+#include "stream/sharded.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "forecast/model.hpp"
+#include "stream/pipeline.hpp"
 #include "stream/queue.hpp"
 #include "tensor/rng.hpp"
 
@@ -65,7 +66,7 @@ TEST(BoundedQueue, Validation) {
   EXPECT_THROW(BoundedQueue<int>(4, 0), Error);
 }
 
-// ---- StreamPipeline fixtures ------------------------------------------------
+// ---- Single-producer fixtures -----------------------------------------------
 
 /// Small-but-real forecaster (same shape as the engine tests).
 ForecasterConfig small_config() {
@@ -109,6 +110,13 @@ struct EngineFixture {
   }
 };
 
+/// The single-producer detector: a one-shard pipeline; the caller flushes.
+ShardedConfig one_shard(const StreamConfig& cfg) {
+  ShardedConfig sc;
+  sc.stream = cfg;
+  return sc;
+}
+
 // ---- Streaming vs batch equivalence ----------------------------------------
 
 TEST(StreamPipeline, FrozenThresholdBitIdenticalToBatch) {
@@ -120,8 +128,7 @@ TEST(StreamPipeline, FrozenThresholdBitIdenticalToBatch) {
   StreamConfig cfg;
   cfg.max_zones = zones;
   cfg.repair_inputs = false;  // batch scores the raw series; so must we
-  cfg.flush_batch = 32;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
 
   std::vector<std::vector<float>> series;
   std::vector<std::vector<float>> expected;
@@ -135,10 +142,12 @@ TEST(StreamPipeline, FrozenThresholdBitIdenticalToBatch) {
                           anomaly::percentile(expected[z], 90.0));
   }
 
-  // Interleave zones the way a real feed would.
+  // Interleave zones the way a real feed would, flushing every 32 samples.
+  std::size_t ingested = 0;
   for (std::size_t t = 0; t < n; ++t) {
     for (std::size_t z = 0; z < zones; ++z) {
       pipe.ingest(static_cast<std::uint32_t>(z), t, series[z][t]);
+      if (++ingested % 32 == 0) pipe.flush();
     }
   }
   pipe.flush();
@@ -190,12 +199,14 @@ TEST(StreamPipeline, SingleZoneStillMatchesBatch) {
   StreamConfig cfg;
   cfg.max_zones = 1;
   cfg.repair_inputs = false;
-  cfg.flush_batch = 7;  // odd cadence: exercises mid-series flush cuts
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, anomaly::percentile(expected, 85.0));
 
-  for (std::size_t t = 0; t < n; ++t) pipe.ingest(0, t, series[t]);
+  for (std::size_t t = 0; t < n; ++t) {
+    pipe.ingest(0, t, series[t]);
+    if ((t + 1) % 7 == 0) pipe.flush();  // odd cadence: mid-series cuts
+  }
   pipe.flush();
 
   std::vector<AnomalyEvent> events;
@@ -216,7 +227,7 @@ TEST(StreamPipeline, SingleZoneStillMatchesBatch) {
   tensor::Rng rng(7);
   narrow.publish(forecast::make_forecaster(fx.model, rng).get_weights());
   EXPECT_EQ(batch_scores(narrow, series), expected);
-  EXPECT_NO_THROW(StreamPipeline(narrow, cfg));
+  EXPECT_NO_THROW(ShardedPipeline(narrow, one_shard(cfg)));
 }
 
 // ---- Not-ready / churn semantics -------------------------------------------
@@ -227,7 +238,7 @@ TEST(StreamPipeline, NoScoreUntilLookbackSamples) {
 
   StreamConfig cfg;
   cfg.max_zones = 1;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, 0.0f);  // everything scored would be flagged
 
@@ -254,7 +265,7 @@ TEST(StreamPipeline, GapResetsWindowToNotReady) {
 
   StreamConfig cfg;
   cfg.max_zones = 1;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, 1e6f);
 
@@ -286,7 +297,7 @@ TEST(StreamPipeline, UnarmedZoneNeverFlags) {
   StreamConfig cfg;
   cfg.max_zones = 1;
   cfg.adapt_thresholds = false;  // never arms on its own
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
   EXPECT_TRUE(std::isnan(pipe.threshold(0)));
 
@@ -302,7 +313,7 @@ TEST(StreamPipeline, SeededThresholdAdaptsOnline) {
   StreamConfig cfg;
   cfg.max_zones = 1;
   cfg.threshold = {anomaly::ThresholdKind::kPercentile, 99.0};
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
 
   // Seed from a clean calibration run, then keep streaming: the estimator
@@ -332,7 +343,7 @@ TEST(StreamPipeline, AdaptationWinsorizesFlaggedScores) {
   cfg.max_zones = 1;
   cfg.threshold = {anomaly::ThresholdKind::kPercentile, 98.0};
   cfg.repair_inputs = false;  // raw windows; isolate the adaptation path
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
 
   const std::vector<float> series = make_series(400, 33);
@@ -379,7 +390,7 @@ TEST(StreamPipeline, RepairHoldsNearestTrustworthyValue) {
   StreamConfig cfg;
   cfg.max_zones = 1;
   cfg.repair_inputs = true;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
   // Generous frozen threshold: only the injected spike gets flagged.
   const std::vector<float> series = make_series(3 * lookback, 31);
@@ -416,7 +427,7 @@ TEST(StreamPipeline, NonFiniteInputNeverPoisonsScoring) {
   StreamConfig cfg;
   cfg.max_zones = 1;
   cfg.repair_inputs = true;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, 1e6f);
 
@@ -446,7 +457,7 @@ TEST(StreamPipeline, BackPressureDropsOldestAndCounts) {
   cfg.repair_inputs = false;
   cfg.queue_max = 4;
   cfg.queue_shrink = 2;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, 0.0f);  // every scored sample becomes an event
 
@@ -470,21 +481,24 @@ TEST(StreamPipeline, BackPressureDropsOldestAndCounts) {
   EXPECT_EQ(pipe.stats().events_dropped, scored - cfg.queue_max);
 }
 
-// ---- Auto-flush and validation ---------------------------------------------
+// ---- Flush cadence and validation -------------------------------------------
 
 TEST(StreamPipeline, IngestAutoFlushesAtBatch) {
+  // Ingest never flushes, even once flush_batch samples wait: the caller
+  // owns the cadence.
   EngineFixture fx;
   StreamConfig cfg;
   cfg.max_zones = 2;
   cfg.flush_batch = 8;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
   pipe.add_zone(identity_scaler());
 
   for (std::size_t t = 0; t < 7; ++t) pipe.ingest(0, t, 0.5f);
-  EXPECT_EQ(pipe.pending(), 7u);
-  pipe.ingest(1, 0, 0.5f);  // 8th pending sample trips the flush
-  EXPECT_EQ(pipe.pending(), 0u);
+  pipe.ingest(1, 0, 0.5f);
+  EXPECT_EQ(pipe.stats().flushes_total, 0u);
+  EXPECT_EQ(pipe.stats().scored_total, 0u);
+  EXPECT_EQ(pipe.flush(), 8u);
   EXPECT_EQ(pipe.stats().flushes_total, 1u);
 }
 
@@ -492,7 +506,7 @@ TEST(StreamPipeline, Validation) {
   EngineFixture fx;
   StreamConfig cfg;
   cfg.max_zones = 1;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   EXPECT_THROW(pipe.ingest(0, 0, 1.0f), Error);  // no zone yet
   pipe.add_zone(identity_scaler());
   EXPECT_THROW(pipe.add_zone(identity_scaler()), Error);  // max_zones
@@ -502,7 +516,7 @@ TEST(StreamPipeline, Validation) {
   data::MinMaxScaler unfitted;
   StreamConfig cfg2;
   cfg2.max_zones = 2;
-  StreamPipeline pipe2(fx.engine, cfg2);
+  ShardedPipeline pipe2(fx.engine, one_shard(cfg2));
   EXPECT_THROW(pipe2.add_zone(unfitted), Error);
 
   // Engine too small for the zone fan-out.
@@ -511,7 +525,7 @@ TEST(StreamPipeline, Validation) {
   Engine engine2(fx.model, small_engine);
   StreamConfig wide;
   wide.max_zones = 64;
-  EXPECT_THROW(StreamPipeline(engine2, wide), Error);
+  EXPECT_THROW(ShardedPipeline(engine2, one_shard(wide)), Error);
 }
 
 // ---- Concurrent producer/consumer soak (TSan-exercised) ---------------------
@@ -524,10 +538,9 @@ TEST(StreamPipeline, ConcurrentDrainSoak) {
 
   StreamConfig cfg;
   cfg.max_zones = zones;
-  cfg.flush_batch = 16;
   cfg.queue_max = 64;
   cfg.queue_shrink = 16;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   std::vector<std::vector<float>> series;
   for (std::size_t z = 0; z < zones; ++z) {
     series.push_back(make_series(n, 40 + z));
@@ -554,6 +567,7 @@ TEST(StreamPipeline, ConcurrentDrainSoak) {
       const std::uint64_t ts = z == 1 ? t + (t / 400) : t;
       pipe.ingest(static_cast<std::uint32_t>(z), ts, series[z][t]);
     }
+    if (t % 8 == 7) pipe.flush();  // 16 samples per flush
   }
   pipe.flush();
   done.store(true, std::memory_order_release);
@@ -591,8 +605,7 @@ DriftRunResult run_drift_scenario(double drift_z) {
   cfg.repair_inputs = false;  // keep score dynamics purely input-driven
   cfg.drift_z = drift_z;
   cfg.drift_window = 64;
-  cfg.flush_batch = 16;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
 
   const std::vector<float> base = make_series(n_base + n_shift + 1, 23);
@@ -644,7 +657,7 @@ TEST(StreamDrift, FrozenZoneNeverReseeds) {
   cfg.max_zones = 1;
   cfg.drift_z = 1.0;  // hair trigger
   cfg.drift_window = 8;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(cfg));
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, 0.5f);
 
