@@ -150,8 +150,7 @@ std::vector<ClientData> prepare_clients(const ExperimentConfig& cfg,
     if (load_cached_clients(cfg, fingerprint, cached)) return cached;
   }
 
-  runtime::ScopedTimer prep_timer(ctx != nullptr ? ctx->metrics : nullptr,
-                                  "pipeline.prepare_clients_seconds");
+  const metrics::WallTimer prep_timer;
   tensor::Rng root(cfg.seed);
   const std::vector<data::TimeSeries> clean_series =
       datagen::generate_clients(cfg.generator);
@@ -196,18 +195,17 @@ std::vector<ClientData> prepare_clients(const ExperimentConfig& cfg,
     clients[c] = std::move(cd);
   };
 
-  if (ctx != nullptr && ctx->parallel() && n > 1) {
-    ctx->count("pipeline.parallel_client_preps");
-    ctx->parallel_for(n, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t c = begin; c < end; ++c) build_client(c);
-    });
-  } else {
-    for (std::size_t c = 0; c < n; ++c) build_client(c);
-  }
+  const runtime::RunContext serial;
+  const runtime::RunContext& run = ctx != nullptr ? *ctx : serial;
+  if (run.parallel() && n > 1) run.count("pipeline.parallel_client_preps");
+  run.parallel_for(n, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t c = begin; c < end; ++c) build_client(c);
+  });
 
   if (!cfg.cache_dir.empty()) {
     store_cached_clients(cfg, fingerprint, clients);
   }
+  run.count("pipeline.prepare_clients_seconds", prep_timer.seconds());
   return clients;
 }
 

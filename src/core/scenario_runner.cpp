@@ -14,7 +14,7 @@ ScenarioRunner::ScenarioRunner(ExperimentConfig cfg) : cfg_(std::move(cfg)) {
     trace_ = std::make_unique<obs::TraceWriter>(cfg_.trace_out);
   }
   ctx_.pool = pool_.get();
-  ctx_.metrics = &metrics_;
+  ctx_.registry = &registry_;
   ctx_.trace = trace_.get();
 }
 
@@ -29,9 +29,7 @@ ScenarioRunner::~ScenarioRunner() {
 
 std::string ScenarioRunner::write_metrics_json() {
   if (cfg_.metrics_json.empty()) return {};
-  const auto snapshot = metrics_.snapshot();  // unordered -> sorted for JSON
-  rounds_.write_json_file(cfg_.metrics_json,
-                          {snapshot.begin(), snapshot.end()});
+  rounds_.write_json_file(cfg_.metrics_json, registry_.counter_values());
   return cfg_.metrics_json;
 }
 

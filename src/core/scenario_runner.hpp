@@ -70,10 +70,9 @@ class ScenarioRunner {
 
   const ExperimentConfig& config() const { return cfg_; }
 
-  /// The execution context shared by every stage this runner drives.
+  /// The execution context shared by every stage this runner drives; its
+  /// registry holds the counters the runtime-aware stages accumulate.
   const runtime::RunContext& context() const { return ctx_; }
-  /// Counters/timers accumulated by the runtime-aware stages.
-  const runtime::Metrics& runtime_metrics() const { return metrics_; }
 
   /// Per-round telemetry accumulated by every federated run this runner
   /// drove (all scenarios append to the same sink).
@@ -107,7 +106,7 @@ class ScenarioRunner {
 
   ExperimentConfig cfg_;
   std::unique_ptr<runtime::ThreadPool> pool_;  // null when cfg.threads == 1
-  runtime::Metrics metrics_;
+  obs::Registry registry_;
   std::unique_ptr<obs::TraceWriter> trace_;    // null when cfg.trace_out empty
   obs::RoundTelemetrySink rounds_;
   runtime::RunContext ctx_;

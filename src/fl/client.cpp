@@ -67,76 +67,81 @@ WeightUpdate Client::train_round(const GlobalModel& global) {
   return update;
 }
 
-const std::vector<std::uint8_t>& Client::encode_update(
-    const WeightUpdate& update, const std::vector<float>& reference) {
-  encoder_.encode(update, reference, wire_buf_);
-  return wire_buf_;
+StepResult Client::participate(const GlobalModel& global,
+                               const StepOptions& opts) {
+  StepResult out;
+  const faults::FaultInjector* faults = opts.injector;
+  // Crash-before-update: the client received the broadcast but dies before
+  // contributing — the round must time it out, not wait for it.
+  if (faults != nullptr && faults->should_crash(id_, global.round)) {
+    return out;
+  }
+
+  obs::TraceSpan train_span(opts.trace, "fl.client_train", "fl");
+  train_span.annotate("client", static_cast<std::uint64_t>(id_));
+  train_span.annotate("round", static_cast<std::uint64_t>(global.round));
+  WeightUpdate update = train_round(global);
+  train_span.end();
+
+  // An attacker client poisons its own update before anything else touches
+  // it — upstream of scripted corruption and of encoding, exactly where a
+  // compromised client controls the pipeline.
+  if (opts.adversary != nullptr) {
+    opts.adversary->poison_update(update, global.weights);
+  }
+
+  out.seconds = last_train_seconds();
+  if (faults != nullptr) {
+    const double delay_ms = faults->straggler_delay_ms(id_, global.round);
+    if (!opts.real_time) {
+      out.seconds += delay_ms / 1e3;
+    } else if (delay_ms > 0.0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(delay_ms));
+    }
+  }
+  if (!opts.real_time && (opts.round_deadline_ms <= 0.0 ||
+                          out.seconds * 1e3 > opts.round_deadline_ms)) {
+    return out;  // missed the round deadline: the update never ships
+  }
+
+  if (faults != nullptr) {
+    faults->corrupt_update(update);
+    // Stale replay: the previous round's bytes go out ahead of the fresh
+    // update — the server's validator must reject the old round.
+    if (!previous_upload_.empty() &&
+        faults->should_replay_stale(id_, global.round)) {
+      out.stale = previous_upload_;
+    }
+  }
+
+  // Encode against the broadcast as *this client decoded it* — under a
+  // lossy downlink that is the server's delta reference too.
+  encoder_.encode(update, global.weights, wire_buf_);
+  out.upload = &wire_buf_;
+  if (faults != nullptr && faults->may_replay_stale(id_)) {
+    previous_upload_ = wire_buf_;
+  }
+  return out;
 }
 
 void Client::serve(InMemoryNetwork& net, std::size_t rounds,
                    ServeOptions opts) {
-  // Keeping a serialized copy of every round's update costs a payload-sized
-  // copy per round, so only do it when a stale-replay rule can actually ask
-  // for it.
-  const bool retain_previous =
-      opts.injector != nullptr && opts.injector->may_replay_stale(id_);
-  std::vector<std::uint8_t> previous_update_bytes;
+  const StepOptions step{opts.injector, opts.trace, opts.adversary, 0.0,
+                         /*real_time=*/true};
   for (std::size_t r = 0; r < rounds; ++r) {
     std::optional<Message> msg = receive_with_backoff(net, id_, opts);
     if (!msg) return;  // retry budget exhausted: server went away
     deserialize_global_into(msg->payload(), global_scratch_);
-    const GlobalModel& global = global_scratch_;
-    if (global.round == kShutdownRound) return;  // server finished its rounds
+    if (global_scratch_.round == kShutdownRound) return;  // server finished
 
-    // Crash-before-update: the client received the broadcast but dies
-    // before contributing — the server must time it out, not hang.
-    if (opts.injector != nullptr &&
-        opts.injector->should_crash(id_, global.round)) {
-      return;
+    StepResult out = participate(global_scratch_, step);
+    if (out.upload == nullptr) return;  // in real time, only a crash
+    if (!out.stale.empty()) {
+      net.send(Message{id_, kServerNode, std::move(out.stale)});
     }
-
-    obs::TraceSpan train_span(opts.trace, "fl.client_train", "fl");
-    train_span.annotate("client", static_cast<std::uint64_t>(id_));
-    train_span.annotate("round", static_cast<std::uint64_t>(global.round));
-    WeightUpdate update = train_round(global);
-    train_span.end();
-
-    // An attacker client poisons its own update before anything else
-    // touches it — upstream of scripted corruption and of encoding, exactly
-    // where a compromised client controls the pipeline.
-    if (opts.adversary != nullptr) {
-      opts.adversary->poison_update(update, global.weights);
-    }
-
-    if (opts.injector != nullptr) {
-      const double delay_ms =
-          opts.injector->straggler_delay_ms(id_, global.round);
-      if (delay_ms > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            delay_ms));
-      }
-      opts.injector->corrupt_update(update);
-      // Stale replay: re-send the previous round's bytes alongside the
-      // fresh update — the server's validator must reject the old round.
-      if (!previous_update_bytes.empty() &&
-          opts.injector->should_replay_stale(id_, global.round)) {
-        net.send(Message{id_, kServerNode, previous_update_bytes});
-      }
-    }
-
-    // Encode against the broadcast as *this client decoded it* — under a
-    // lossy downlink that is the server's delta reference too.
-    std::vector<std::uint8_t> bytes = encode_update(update, global.weights);
-    if (retain_previous) previous_update_bytes = bytes;
-    net.send(Message{id_, kServerNode, std::move(bytes)});
+    net.send(Message{id_, kServerNode, *out.upload});
   }
-}
-
-void Client::serve(InMemoryNetwork& net, std::size_t rounds,
-                   double timeout_ms) {
-  ServeOptions opts;
-  opts.receive_timeout_ms = timeout_ms;
-  serve(net, rounds, opts);
 }
 
 }  // namespace evfl::fl

@@ -56,6 +56,34 @@ struct ServeOptions {
   const AdversarySuite* adversary = nullptr;
 };
 
+/// How Client::participate runs one round.  The pointers are optional and
+/// non-owning, as in ServeOptions.
+struct StepOptions {
+  const faults::FaultInjector* injector = nullptr;
+  obs::TraceWriter* trace = nullptr;
+  const AdversarySuite* adversary = nullptr;
+  /// Virtual-time schedules (inline, pool, fleet): the straggler delay is
+  /// added to the train seconds, and an update later than this deadline is
+  /// not sent.  A deadline <= 0 makes every update late.
+  double round_deadline_ms = 120'000.0;
+  /// Threaded schedule: the straggler delay is a real sleep, and the
+  /// server's own clock enforces the deadline on arrival.
+  bool real_time = false;
+};
+
+/// What one participant produced in one round.
+struct StepResult {
+  /// Local-training seconds, plus the straggler delay in virtual time.
+  double seconds = 0.0;
+  /// The encoded update to send; nullptr after a scripted crash or past the
+  /// deadline.  Points into the client and stays valid until its next
+  /// round.
+  const std::vector<std::uint8_t>* upload = nullptr;
+  /// A stale replay of the previous round's upload, to send ahead of
+  /// `upload`; empty when no replay fault fired.
+  std::vector<std::uint8_t> stale;
+};
+
 class Client {
  public:
   Client(int id, tensor::Tensor3 x_train, tensor::Tensor3 y_train,
@@ -67,26 +95,21 @@ class Client {
   /// Adopt the broadcast global weights, run local epochs, return the update.
   WeightUpdate train_round(const GlobalModel& global);
 
-  /// Encode `update` for the wire under the configured codec, against the
-  /// broadcast weights this client decoded (`reference`).  Returns an
-  /// internal buffer reused across rounds — steady-state encoding does not
-  /// allocate.  Carries the error-feedback residual for lossy codecs.
-  const std::vector<std::uint8_t>& encode_update(
-      const WeightUpdate& update, const std::vector<float>& reference);
-
-  /// Error-feedback encoder state (diagnostics/tests).
-  const UpdateEncoder& encoder() const { return encoder_; }
+  /// One round as a participant, the step every driver runs: crash check,
+  /// "fl.client_train" span, train_round, adversary poison, straggler
+  /// delay, deadline, corruption, stale replay, encode.  Sends nothing: the
+  /// caller ships `stale` then `upload`.  The upload buffer is reused
+  /// across rounds, so steady-state encoding does not allocate; lossy
+  /// codecs carry their error-feedback residual in the client.
+  StepResult participate(const GlobalModel& global, const StepOptions& opts);
 
   /// Threaded-mode service loop: for each of `rounds`, wait for a
   /// GlobalModel broadcast on `net` (budget-bounded retry-with-backoff),
-  /// train, and send the update back to the server node.  Exits when the
-  /// retry budget is exhausted (server gone), a kShutdownRound broadcast
-  /// arrives (server finished), or a scripted crash fault fires.
+  /// participate in real time, and send the result to the server node.
+  /// Exits when the retry budget is exhausted (server gone), a
+  /// kShutdownRound broadcast arrives (server finished), or a scripted
+  /// crash fault fires.
   void serve(InMemoryNetwork& net, std::size_t rounds, ServeOptions opts);
-
-  /// Legacy convenience overload: one total receive budget, no faults.
-  void serve(InMemoryNetwork& net, std::size_t rounds,
-             double timeout_ms = 60'000.0);
 
   /// Local model access (evaluation after training).
   nn::Sequential& model() { return model_; }
@@ -111,7 +134,9 @@ class Client {
   nn::MseLoss loss_;
   nn::Adam optimizer_;
   UpdateEncoder encoder_;
-  std::vector<std::uint8_t> wire_buf_;  // encode_update scratch
+  std::vector<std::uint8_t> wire_buf_;  // upload encode scratch
+  /// Last upload, kept only while a stale-replay rule may ask for it.
+  std::vector<std::uint8_t> previous_upload_;
   GlobalModel global_scratch_;          // serve-loop broadcast decode buffer
   std::atomic<double> last_train_seconds_{0.0};
 };

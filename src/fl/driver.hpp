@@ -1,26 +1,23 @@
-// Federated-round orchestration behind one Driver interface.
+// Federated-round orchestration.  Driver::run is the one round loop: each
+// round it samples the cohort, opens the "fl.round" span, runs the driver's
+// exchange, closes the root, and fills RoundMetrics, RoundTelemetry and the
+// fl.* counters.  SyncDriver, ThreadedDriver and FleetDriver (fl/fleet.hpp)
+// supply only their exchange; every participant runs the same step,
+// Client::participate, and every parameter exchange crosses the serialized
+// wire format.
 //
-// SyncDriver runs clients in deterministic order — the default for
-// experiments, bit-reproducible given seeds.  Given a RunContext with a
-// thread pool it trains the round's clients concurrently (one task per
-// client) while keeping update aggregation in client order, so results
-// stay bit-identical to the serial schedule and "simulated parallel
-// seconds" becomes real wall-clock parallelism.  ThreadedDriver runs each
-// client on its own std::thread communicating through the InMemoryNetwork,
-// demonstrating (and testing) that the protocol tolerates concurrency,
-// message loss, stragglers and Byzantine clients.  Both route every
-// parameter exchange through the serialized wire format.
-//
-// Robustness model: each round has a deadline.  At the deadline the server
-// aggregates whatever validated updates arrived (partial aggregation); the
-// Server's UpdateValidator rejects stale/duplicate/non-finite updates and
-// its quorum decides whether the round moves the global model at all.  An
-// optional FaultInjector scripts crashes, stragglers, corruption,
-// duplicates and replays for both drivers through one seed-deterministic
-// plan.
+// Robustness model: each round has a deadline.  At the deadline the root
+// aggregates whatever validated updates arrived (partial aggregation); its
+// UpdateValidator rejects stale/duplicate/non-finite updates and its quorum
+// decides whether the round moves the global model at all.  An optional
+// FaultInjector scripts crashes, stragglers, corruption, duplicates and
+// replays for every driver through one seed-deterministic plan.
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "faults/fault_injector.hpp"
@@ -60,7 +57,7 @@ std::vector<std::size_t> select_sampled(const SamplingPolicy& policy,
                                         std::uint32_t round,
                                         const std::vector<int>& ids);
 
-/// Per-round protocol knobs shared by both drivers.
+/// Per-round protocol knobs shared by every driver.
 struct RoundPolicy {
   /// Hard per-round collection deadline: the server never waits longer than
   /// this for updates; stragglers past it are partially aggregated away.
@@ -117,70 +114,130 @@ struct FederatedRunResult {
   std::size_t total_timed_out_clients() const;
 };
 
-/// Common interface over the execution models, so callers pick a driver at
-/// runtime without caring how rounds are scheduled.
+/// The round loop every driver shares; a driver supplies only its exchange.
 class Driver {
  public:
   virtual ~Driver() = default;
-  virtual FederatedRunResult run(std::size_t rounds) = 0;
+  FederatedRunResult run(std::size_t rounds);
+
+ protected:
+  /// What one round's exchange hands back to the loop.  The exchange has
+  /// offered every arrival to the root; the loop closes it.
+  struct Exchange {
+    /// Cohort members that received the broadcast: only they can time out.
+    std::size_t reached = 0;
+    /// Reached members whose current-round update arrived.
+    std::size_t fresh = 0;
+    /// Messages lost this round.
+    std::size_t dropped = 0;
+    float mean_train_loss = 0.0f;
+    /// Per cohort member, in cohort order.
+    std::vector<double> client_seconds;
+    /// Delivered messages and their wire bytes, per direction.
+    std::uint64_t messages_down = 0, messages_up = 0;
+    std::uint64_t bytes_down = 0, bytes_up = 0;
+    /// Summed audit of an edge tier that judged the leaves; empty when the
+    /// leaves report to the root directly.
+    std::optional<RoundAudit> edges;
+  };
+
+  /// `ctx` may be null (serial, untraced, uncounted).  The derived
+  /// constructor fills ids_.
+  Driver(Aggregator& root, RoundPolicy policy, const runtime::RunContext* ctx,
+         const faults::FaultInjector* injector,
+         obs::RoundTelemetrySink* telemetry, const AdversarySuite* adversary);
+
+  virtual void begin_run(std::size_t /*rounds*/) {}
+  /// Broadcast round `round` to `cohort` (indices into ids_), run its
+  /// participants and offer what arrived to the root.
+  virtual Exchange exchange(std::uint32_t round,
+                            const std::vector<std::size_t>& cohort) = 0;
+  virtual void end_run() {}
+  /// FederatedRunResult::network: by default the run's own tally of the
+  /// exchanges' traffic.
+  virtual NetworkStats traffic(const NetworkStats& tally) const {
+    return tally;
+  }
+
+  /// The participant step for the virtual-time schedules.
+  StepOptions step_options() const;
+  static void add_audit(RoundAudit& into, const RoundAudit& from);
+
+  Aggregator* root_;
+  std::vector<int> ids_;  // participant i's id, hashed by sampling
+  RoundPolicy policy_;
+  const runtime::RunContext* ctx_;  // never null
+  const faults::FaultInjector* injector_;
+  obs::RoundTelemetrySink* telemetry_;
+  const AdversarySuite* adversary_;
 };
 
-class SyncDriver : public Driver {
+/// Built Clients reporting straight to the root over an InMemoryNetwork:
+/// the half SyncDriver and ThreadedDriver share.
+class FlatDriver : public Driver {
  public:
-  /// `ctx` (optional, non-owning) supplies the thread pool for pool-backed
-  /// rounds; nullptr or a serial context trains clients one at a time.  Its
-  /// trace writer, when set, receives per-round and per-client-train spans.
-  /// `injector` (optional, non-owning) scripts faults; it is also attached
-  /// to the network so message-level faults (duplicates) apply.
+  /// `ctx` (optional, non-owning) supplies the thread pool and trace
+  /// writer.  `injector` (optional, non-owning) scripts faults; it is also
+  /// attached to the network so message-level faults (duplicates) apply.
   /// `telemetry` (optional, non-owning) receives one RoundTelemetry record
-  /// per federated round.  `adversary` (optional, non-owning) poisons
-  /// attacker-client updates after local training, before encoding — the
-  /// point a compromised client controls in a real deployment.
-  SyncDriver(Server& server, std::vector<std::unique_ptr<Client>>& clients,
+  /// per round.  `adversary` (optional, non-owning) poisons attacker-client
+  /// updates after local training, before encoding — the point a
+  /// compromised client controls in a real deployment.
+  FlatDriver(Server& server, std::vector<std::unique_ptr<Client>>& clients,
              InMemoryNetwork& net, const runtime::RunContext* ctx = nullptr,
              const faults::FaultInjector* injector = nullptr,
              RoundPolicy policy = {},
              obs::RoundTelemetrySink* telemetry = nullptr,
              const AdversarySuite* adversary = nullptr);
 
-  FederatedRunResult run(std::size_t rounds) override;
+ protected:
+  /// The network's running totals.
+  NetworkStats traffic(const NetworkStats& tally) const override;
+  /// Deliver the root's broadcast to the whole cohort in one call (drop
+  /// decisions drawn in cohort order); returns the broadcast bytes.
+  const std::vector<std::uint8_t>& broadcast(
+      const std::vector<std::size_t>& cohort, Exchange& ex);
+  /// Decode one arrival at the server node into `raw`; false when its
+  /// sender is not one of this driver's clients (counted as dropped).
+  bool take(const Message& msg, Exchange& ex,
+            std::vector<WeightUpdate>& raw) const;
+  /// Offer the round's arrivals to the root in client-id order.
+  void offer(std::uint32_t round, std::vector<WeightUpdate> raw,
+             Exchange& ex);
 
- private:
-  Server* server_;
   std::vector<std::unique_ptr<Client>>* clients_;
   InMemoryNetwork* net_;
-  const runtime::RunContext* ctx_;
-  const faults::FaultInjector* injector_;
-  RoundPolicy policy_;
-  obs::RoundTelemetrySink* telemetry_;
-  const AdversarySuite* adversary_;
+  std::unordered_set<int> known_;
 };
 
-class ThreadedDriver : public Driver {
+/// Clients train inline, or concurrently on the context's pool.  Uploads
+/// cross the network after the barrier, in cohort order, so a pooled run is
+/// bit-identical to the serial one, on a lossy network too.
+class SyncDriver : public FlatDriver {
  public:
-  /// Same parameters as SyncDriver.  `ctx` is used only for its trace
-  /// writer (worker threads schedule themselves); rounds close at
-  /// policy.round_deadline_ms — the server aggregates the validated
-  /// partial set and never blocks past the deadline; `adversary` is handed
-  /// to every client's serve loop.
-  ThreadedDriver(Server& server, std::vector<std::unique_ptr<Client>>& clients,
-                 InMemoryNetwork& net, const runtime::RunContext* ctx = nullptr,
-                 const faults::FaultInjector* injector = nullptr,
-                 RoundPolicy policy = {},
-                 obs::RoundTelemetrySink* telemetry = nullptr,
-                 const AdversarySuite* adversary = nullptr);
+  using FlatDriver::FlatDriver;
 
-  FederatedRunResult run(std::size_t rounds) override;
+ protected:
+  Exchange exchange(std::uint32_t round,
+                    const std::vector<std::size_t>& cohort) override;
+};
+
+/// One std::thread per client, talking through the InMemoryNetwork: the
+/// protocol under real concurrency, loss, stragglers and Byzantine clients.
+/// Rounds close at policy.round_deadline_ms: the root aggregates the
+/// validated partial set and never blocks past the deadline.
+class ThreadedDriver : public FlatDriver {
+ public:
+  using FlatDriver::FlatDriver;
+
+ protected:
+  void begin_run(std::size_t rounds) override;
+  Exchange exchange(std::uint32_t round,
+                    const std::vector<std::size_t>& cohort) override;
+  void end_run() override;
 
  private:
-  Server* server_;
-  std::vector<std::unique_ptr<Client>>* clients_;
-  InMemoryNetwork* net_;
-  const runtime::RunContext* ctx_;
-  const faults::FaultInjector* injector_;
-  RoundPolicy policy_;
-  obs::RoundTelemetrySink* telemetry_;
-  const AdversarySuite* adversary_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace evfl::fl

@@ -1,9 +1,7 @@
 #include "fl/fleet.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "data/scaler.hpp"
@@ -19,11 +17,6 @@ namespace {
 /// later round trains identically).
 constexpr std::uint64_t kLeafModelSalt = 0xBF58476D1CE4E5B9ull;
 
-double now_seconds() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
-
 }  // namespace
 
 FleetDriver::FleetDriver(Aggregator& root,
@@ -32,13 +25,11 @@ FleetDriver::FleetDriver(Aggregator& root,
                          const runtime::RunContext* ctx,
                          const faults::FaultInjector* injector,
                          obs::RoundTelemetrySink* telemetry)
-    : root_(&root),
+    : Driver(root, RoundPolicy{cfg.round_deadline_ms, cfg.sampling}, ctx,
+             injector, telemetry, cfg.adversary),
       fleet_(std::move(fleet)),
       factory_(std::move(factory)),
-      cfg_(cfg),
-      ctx_(ctx),
-      injector_(injector),
-      telemetry_(telemetry) {
+      cfg_(cfg) {
   EVFL_REQUIRE(!fleet_.empty(), "FleetDriver: empty fleet");
   EVFL_REQUIRE(cfg_.edges >= 1, "FleetDriver: need at least one edge");
   EVFL_REQUIRE(cfg_.lookback >= 1 && cfg_.lookback < 48,
@@ -56,6 +47,7 @@ FleetDriver::FleetDriver(Aggregator& root,
         edge_node_id(e), root_->weights(), cfg_.fedavg, cfg_.edge_validator,
         root_->codec(), cfg_.client.codec));
   }
+  edge_mutex_.reset(new std::mutex[edge_count]);
 
   // Contiguous block shards: leaf i belongs to edge i*E/L.  The partition
   // depends only on (i, E, L), so the same fleet re-shards deterministically.
@@ -67,233 +59,110 @@ FleetDriver::FleetDriver(Aggregator& root,
   }
 }
 
-FederatedRunResult FleetDriver::run(std::size_t rounds) {
-  const std::size_t leaves = fleet_.size();
+Driver::Exchange FleetDriver::exchange(
+    std::uint32_t round, const std::vector<std::size_t>& cohort) {
   const std::size_t edge_count = edges_.size();
-  const std::size_t dim = root_->weights().size();
-  const std::uint64_t logical_msg =
-      kWireHeaderBytesV1 + static_cast<std::uint64_t>(dim) * sizeof(float);
+  Exchange ex;
+  ex.edges = RoundAudit{};
 
-  FederatedRunResult result;
-  result.rounds.reserve(rounds);
-  const double run_start = now_seconds();
-
-  // One mutex per edge: leaf tasks of the same shard serialize only their
-  // offer() call; training runs fully parallel.
-  std::unique_ptr<std::mutex[]> edge_mutex(new std::mutex[edge_count]);
-
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const double round_start = now_seconds();
-    const std::uint32_t round_no = root_->round();
-    RoundMetrics rm;
-    rm.round = round_no;
-    rm.population = leaves;
-
-    const std::vector<std::size_t> sampled =
-        select_sampled(cfg_.sampling, round_no, ids_);
-    rm.sampled_clients = sampled.size();
-
-    // --- tier 1: root -> edges -----------------------------------------
-    std::vector<char> edge_alive(edge_count, 1);
-    for (std::size_t e = 0; e < edge_count; ++e) {
-      if (injector_ != nullptr &&
-          injector_->should_crash(edge_node_id(e), round_no)) {
-        edge_alive[e] = 0;  // this shard goes dark for the whole round
-      }
+  // --- tier 1: root -> edges -------------------------------------------
+  const std::vector<std::uint8_t>& root_wire = root_->broadcast_wire();
+  std::vector<char> alive(edge_count, 0);
+  std::vector<std::size_t> shard_bytes(edge_count, 0);
+  std::vector<GlobalModel> shard_model(edge_count);
+  for (std::size_t e = 0; e < edge_count; ++e) {
+    if (injector_ != nullptr &&
+        injector_->should_crash(edge_node_id(e), round)) {
+      continue;  // this shard goes dark for the whole round
     }
-
-    const std::vector<std::uint8_t>& root_wire = root_->broadcast_wire();
-    std::uint64_t bytes_down = 0, bytes_up = 0;
-    std::uint64_t logical_down = 0, logical_up = 0;
-    std::uint64_t messages = 0;
-    std::vector<const std::vector<std::uint8_t>*> shard_wire(edge_count,
-                                                             nullptr);
-    std::vector<GlobalModel> shard_model(edge_count);
-    for (std::size_t e = 0; e < edge_count; ++e) {
-      if (!edge_alive[e]) continue;
-      edges_[e]->begin_round(root_wire);
-      bytes_down += root_wire.size();
-      logical_down += logical_msg;
-      ++messages;
-      // One shared read-only broadcast buffer per shard — every sampled
-      // leaf of the shard reads this same buffer and this same decode.
-      shard_wire[e] = &edges_[e]->shard_broadcast_wire();
-      deserialize_global_into(*shard_wire[e], shard_model[e]);
-    }
-
-    // --- tier 2: edges -> sampled leaves -------------------------------
-    std::size_t reached = 0;
-    for (const std::size_t i : sampled) {
-      const std::size_t e = shard_of_[i];
-      if (!edge_alive[e]) {
-        ++rm.dropped_messages;  // the shard's broadcast never went out
-        continue;
-      }
-      ++reached;
-      bytes_down += shard_wire[e]->size();
-      logical_down += logical_msg;
-      ++messages;
-    }
-
-    std::vector<double> leaf_seconds(sampled.size(), 0.0);
-    std::vector<float> leaf_loss(sampled.size(), 0.0f);
-    std::vector<std::uint64_t> leaf_up_bytes(sampled.size(), 0);
-    std::vector<char> leaf_offered(sampled.size(), 0);
-
-    const auto leaf_task = [&](std::size_t k) {
-      const std::size_t i = sampled[k];
-      const std::size_t e = shard_of_[i];
-      if (!edge_alive[e]) return;  // already counted as dropped
-      const datagen::ClientSpec& spec = fleet_[i];
-      if (injector_ != nullptr && injector_->should_crash(spec.id, round_no)) {
-        return;  // reached but silent: times out below
-      }
-
-      // Lazy materialization: series -> scaler -> windows -> model live
-      // only inside this task, so peak memory tracks the worker-pool
-      // width, not the fleet size.
-      data::TimeSeries series = datagen::materialize_series(spec);
-      data::MinMaxScaler scaler;
-      scaler.fit(series.values);
-      const std::vector<float> scaled = scaler.transform(series.values);
-      data::SequenceDataset ds =
-          data::make_forecast_sequences(scaled, cfg_.lookback);
-      // Data poisoning happens on the freshly materialized training set, so
-      // the poisoned update flows through the *real* training path.
-      if (cfg_.adversary != nullptr) {
-        cfg_.adversary->poison_labels(spec.id, round_no, ds.x, ds.y);
-      }
-      tensor::Rng rng(spec.series_seed ^ kLeafModelSalt);
-      Client client(spec.id, std::move(ds.x), std::move(ds.y), factory_,
-                    cfg_.client, std::move(rng));
-      if (ctx_ != nullptr) ctx_->count("fleet.clients_materialized");
-
-      WeightUpdate u = client.train_round(shard_model[e]);
-      if (cfg_.adversary != nullptr) {
-        cfg_.adversary->poison_update(u, shard_model[e].weights);
-      }
-      leaf_seconds[k] = client.last_train_seconds();
-      leaf_loss[k] = u.train_loss;
-
-      double elapsed_ms = client.last_train_seconds() * 1e3;
-      if (injector_ != nullptr) {
-        elapsed_ms += injector_->straggler_delay_ms(spec.id, round_no);
-        injector_->corrupt_update(u);
-      }
-      if (elapsed_ms > cfg_.round_deadline_ms) return;  // straggler: too late
-
-      const std::vector<std::uint8_t>& wire =
-          client.encode_update(u, shard_model[e].weights);
-      leaf_up_bytes[k] = wire.size();
-      WeightUpdate decoded;
-      deserialize_update_into(wire, decoded);
-      {
-        std::lock_guard<std::mutex> lock(edge_mutex[e]);
-        edges_[e]->offer(std::move(decoded));
-      }
-      leaf_offered[k] = 1;
-    };
-
-    if (ctx_ != nullptr && ctx_->parallel()) {
-      ctx_->parallel_for(sampled.size(), 1,
-                         [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t k = begin; k < end; ++k) {
-                             leaf_task(k);
-                           }
-                         });
-    } else {
-      for (std::size_t k = 0; k < sampled.size(); ++k) leaf_task(k);
-    }
-
-    // Deterministic (index-order) reductions after the barrier.
-    std::size_t offered = 0;
-    double loss_sum = 0.0;
-    for (std::size_t k = 0; k < sampled.size(); ++k) {
-      rm.max_client_seconds = std::max(rm.max_client_seconds, leaf_seconds[k]);
-      if (leaf_offered[k] != 0) {
-        ++offered;
-        loss_sum += static_cast<double>(leaf_loss[k]);
-        bytes_up += leaf_up_bytes[k];
-        logical_up += logical_msg;
-        ++messages;
-      }
-    }
-    rm.mean_train_loss =
-        offered > 0 ? static_cast<float>(loss_sum / offered) : 0.0f;
-    rm.timed_out_clients = reached - offered;
-
-    // --- tier 1 close: edges forward, root aggregates ------------------
-    std::size_t clipped = 0, clipped_aggregates = 0;
-    std::size_t nonfinite = 0, stale = 0, duplicate = 0, dimension = 0;
-    for (std::size_t e = 0; e < edge_count; ++e) {
-      if (!edge_alive[e]) continue;
-      const std::vector<std::uint8_t>* fw = edges_[e]->forward_wire();
-      const RoundAudit& audit = edges_[e]->last_audit();
-      rm.updates_received += audit.accepted;  // leaf-level acceptance
-      nonfinite += audit.rejected_nonfinite;
-      stale += audit.rejected_stale;
-      duplicate += audit.rejected_duplicate;
-      dimension += audit.rejected_dimension;
-      clipped += audit.clipped;
-      clipped_aggregates += audit.clipped_aggregates;
-      if (fw == nullptr) continue;  // under per-tier quorum: partial round
-      bytes_up += fw->size();
-      logical_up += logical_msg;
-      ++messages;
-      WeightUpdate up;
-      deserialize_update_into(*fw, up);
-      root_->offer(std::move(up));
-    }
-    rm.weight_delta = root_->close_round();
-    const RoundAudit& root_audit = root_->last_audit();
-    nonfinite += root_audit.rejected_nonfinite;
-    stale += root_audit.rejected_stale;
-    duplicate += root_audit.rejected_duplicate;
-    dimension += root_audit.rejected_dimension;
-    clipped += root_audit.clipped;
-    clipped_aggregates += root_audit.clipped_aggregates;
-    rm.rejected_updates = nonfinite + duplicate + dimension;
-    rm.late_updates = stale;
-    rm.wall_seconds = now_seconds() - round_start;
-
-    result.network.messages_sent += messages;
-    result.network.messages_dropped += rm.dropped_messages;
-    result.network.bytes_sent += bytes_down + bytes_up;
-    result.simulated_parallel_seconds += rm.max_client_seconds;
-
-    if (telemetry_ != nullptr) {
-      obs::RoundTelemetry rt;
-      rt.round = rm.round;
-      rt.wall_seconds = rm.wall_seconds;
-      rt.max_client_seconds = rm.max_client_seconds;
-      rt.client_train_seconds = leaf_seconds;
-      rt.bytes_down = bytes_down;
-      rt.bytes_up = bytes_up;
-      rt.logical_bytes_down = logical_down;
-      rt.logical_bytes_up = logical_up;
-      rt.updates_accepted = rm.updates_received;
-      rt.rejected_updates = rm.rejected_updates;
-      rt.late_updates = rm.late_updates;
-      rt.dropped_messages = rm.dropped_messages;
-      rt.timed_out_clients = rm.timed_out_clients;
-      rt.population = rm.population;
-      rt.sampled_clients = rm.sampled_clients;
-      rt.rejected_nonfinite = nonfinite;
-      rt.rejected_stale = stale;
-      rt.rejected_duplicate = duplicate;
-      rt.rejected_dimension = dimension;
-      rt.clipped = clipped;
-      rt.clipped_aggregates = clipped_aggregates;
-      rt.quorum_met = root_audit.quorum_met;
-      telemetry_->record(std::move(rt));
-    }
-
-    result.rounds.push_back(rm);
+    alive[e] = 1;
+    edges_[e]->begin_round(root_wire);
+    ex.bytes_down += root_wire.size();
+    ++ex.messages_down;
+    // One shared read-only broadcast buffer per shard — every sampled leaf
+    // of the shard reads this same buffer and this same decode.
+    const std::vector<std::uint8_t>& shard_wire =
+        edges_[e]->shard_broadcast_wire();
+    shard_bytes[e] = shard_wire.size();
+    deserialize_global_into(shard_wire, shard_model[e]);
   }
 
-  result.final_weights = root_->weights();
-  result.total_seconds = now_seconds() - run_start;
-  return result;
+  // --- tier 2: edges -> sampled leaves ---------------------------------
+  // Per cohort slot; an offered upload always has bytes.
+  std::vector<std::uint64_t> up_bytes(cohort.size(), 0);
+  std::vector<float> up_loss(cohort.size(), 0.0f);
+  ex.client_seconds.assign(cohort.size(), 0.0);
+  const StepOptions step = step_options();
+  const auto leaf_task = [&](std::size_t k) {
+    const datagen::ClientSpec& spec = fleet_[cohort[k]];
+    const std::size_t e = shard_of_[cohort[k]];
+    if (!alive[e]) return;  // already counted as dropped
+
+    // Lazy materialization: series -> scaler -> windows -> model live only
+    // inside this task, so peak memory tracks the worker-pool width, not
+    // the fleet size.
+    data::TimeSeries series = datagen::materialize_series(spec);
+    data::MinMaxScaler scaler;
+    scaler.fit(series.values);
+    const std::vector<float> scaled = scaler.transform(series.values);
+    data::SequenceDataset ds =
+        data::make_forecast_sequences(scaled, cfg_.lookback);
+    // Data poisoning happens on the freshly materialized training set, so
+    // the poisoned update flows through the *real* training path.
+    if (adversary_ != nullptr) {
+      adversary_->poison_labels(spec.id, round, ds.x, ds.y);
+    }
+    Client client(spec.id, std::move(ds.x), std::move(ds.y), factory_,
+                  cfg_.client, tensor::Rng(spec.series_seed ^ kLeafModelSalt));
+    ctx_->count("fleet.clients_materialized");
+
+    const StepResult out = client.participate(shard_model[e], step);
+    ex.client_seconds[k] = out.seconds;
+    if (out.upload == nullptr) return;  // crashed or too late
+    WeightUpdate decoded;
+    deserialize_update_into(*out.upload, decoded);
+    up_bytes[k] = out.upload->size();
+    up_loss[k] = decoded.train_loss;
+    std::lock_guard<std::mutex> lock(edge_mutex_[e]);
+    edges_[e]->offer(std::move(decoded));
+  };
+  ctx_->parallel_for(cohort.size(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) leaf_task(k);
+  });
+
+  // Deterministic (cohort-order) reductions after the barrier.
+  double loss_sum = 0.0;
+  for (std::size_t k = 0; k < cohort.size(); ++k) {
+    const std::size_t e = shard_of_[cohort[k]];
+    if (!alive[e]) {
+      ++ex.dropped;  // the shard's broadcast never went out
+      continue;
+    }
+    ++ex.reached;
+    ex.bytes_down += shard_bytes[e];
+    ++ex.messages_down;
+    if (up_bytes[k] == 0) continue;  // crashed or too late: timed out
+    ++ex.fresh;
+    loss_sum += static_cast<double>(up_loss[k]);
+    ex.bytes_up += up_bytes[k];
+    ++ex.messages_up;
+  }
+  ex.mean_train_loss =
+      ex.fresh > 0 ? static_cast<float>(loss_sum / ex.fresh) : 0.0f;
+
+  // --- tier 1 close: edges forward to the root -------------------------
+  for (std::size_t e = 0; e < edge_count; ++e) {
+    if (!alive[e]) continue;
+    const std::vector<std::uint8_t>* fw = edges_[e]->forward_wire();
+    add_audit(*ex.edges, edges_[e]->last_audit());
+    if (fw == nullptr) continue;  // under per-tier quorum: partial round
+    ex.bytes_up += fw->size();
+    ++ex.messages_up;
+    WeightUpdate up;
+    deserialize_update_into(*fw, up);
+    root_->offer(std::move(up));
+  }
+  return ex;
 }
 
 }  // namespace evfl::fl

@@ -7,12 +7,16 @@
 //   2. each edge encodes one shard broadcast — a single buffer its whole
 //      shard reads (the downlink costs O(E) memory, not O(L)),
 //   3. the round's *sampled* leaves are materialized lazily — series,
-//      scaler, windows, model, trainer all built from the ClientSpec,
-//      trained, encoded, offered to their edge, and destroyed — so peak
-//      memory follows the worker-pool width, never the fleet size,
+//      scaler, windows, model, trainer all built from the ClientSpec, run
+//      through Client::participate, offered to their edge inside the
+//      worker task, and destroyed — so peak memory follows the worker-pool
+//      width, never the fleet size,
 //   4. each edge closes its shard round and forwards ONE update upstream
 //      (exact fixed-point sums under kDense — bit-identical to flat
 //      aggregation; codec-encoded mean otherwise), and the root closes.
+//
+// This is FleetDriver's exchange; Driver::run supplies the round loop
+// (sampling, "fl.round" span, root close, metrics, telemetry).
 //
 // Fault semantics per tier: a crashed edge silently drops its whole shard
 // for the round (partial aggregation at the root — never an abort); a
@@ -22,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "datagen/fleet.hpp"
@@ -49,7 +54,7 @@ struct FleetDriverConfig {
   /// Forecast window: leaves train on sequences of this many hours.
   std::size_t lookback = 24;
   /// Simulated per-round deadline for leaves (straggler delays are virtual
-  /// time, as in SyncDriver).
+  /// time, as in SyncDriver); <= 0 makes every leaf late.
   double round_deadline_ms = 120'000.0;
   /// Optional adaptive adversary (non-owning).  Data-poisoning kinds
   /// relabel a leaf's freshly materialized training set; model-poisoning
@@ -61,14 +66,13 @@ class FleetDriver : public Driver {
  public:
   /// `root`'s weights define the model dimension; its codec is the
   /// edge→root wire (kDense ⇒ exact forwarding).  `ctx` supplies the worker
-  /// pool that bounds how many leaves are materialized at once.
+  /// pool that bounds how many leaves are materialized at once, and the
+  /// trace writer for the round and leaf-training spans.
   FleetDriver(Aggregator& root, std::vector<datagen::ClientSpec> fleet,
               ModelFactory factory, FleetDriverConfig cfg = {},
               const runtime::RunContext* ctx = nullptr,
               const faults::FaultInjector* injector = nullptr,
               obs::RoundTelemetrySink* telemetry = nullptr);
-
-  FederatedRunResult run(std::size_t rounds) override;
 
   /// Fault-plan node id of edge `e` (disjoint from leaf ids >= 0 and from
   /// kServerNode == -1), so crash rules can target an aggregator tier.
@@ -76,17 +80,18 @@ class FleetDriver : public Driver {
 
   std::size_t population() const { return fleet_.size(); }
 
+ protected:
+  Exchange exchange(std::uint32_t round,
+                    const std::vector<std::size_t>& cohort) override;
+
  private:
-  Aggregator* root_;
   std::vector<datagen::ClientSpec> fleet_;
   ModelFactory factory_;
   FleetDriverConfig cfg_;
-  const runtime::RunContext* ctx_;
-  const faults::FaultInjector* injector_;
-  obs::RoundTelemetrySink* telemetry_;
   std::vector<std::unique_ptr<EdgeAggregator>> edges_;
+  /// One per edge: leaves of one shard serialize only their offer().
+  std::unique_ptr<std::mutex[]> edge_mutex_;
   std::vector<std::size_t> shard_of_;  // leaf slot -> edge index
-  std::vector<int> ids_;               // leaf slot -> client id
 };
 
 }  // namespace evfl::fl

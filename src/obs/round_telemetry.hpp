@@ -92,8 +92,8 @@ class RoundTelemetrySink {
   /// Render the full document:
   /// {"rounds":[...], "histograms":{"round_wall_seconds":{...,"p50":...},
   ///  "client_train_seconds":{...}}, "totals":{...}, "counters":{...}}
-  /// `extra_counters` lets the caller merge in ambient counters (e.g. a
-  /// runtime::Metrics snapshot).
+  /// `extra_counters` lets the caller merge in ambient counters (e.g.
+  /// obs::Registry::counter_values()).
   void write_json(std::ostream& os,
                   const std::map<std::string, double>& extra_counters = {}) const;
 

@@ -161,6 +161,13 @@ Histogram& Registry::histogram(const std::string& name, double lowest,
   return *slot;
 }
 
+std::map<std::string, double> Registry::counter_values() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::map<std::string, double> values;
+  for (const auto& [name, c] : counters_) values[name] = c->value();
+  return values;
+}
+
 void Registry::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mutex_);
   os << "{\"counters\": {";

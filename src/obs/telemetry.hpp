@@ -1,5 +1,5 @@
-// evfl::obs telemetry primitives — the structured counterpart to the flat
-// runtime::Metrics name→double map.
+// evfl::obs telemetry primitives — the one metrics surface; RunContext
+// counts into a Registry.
 //
 //   Counter   — monotonically accumulating double (thread-safe add).
 //   Gauge     — last-write-wins double (thread-safe set).
@@ -97,6 +97,9 @@ class Registry {
   /// Histogram construction parameters apply on first use of the name.
   Histogram& histogram(const std::string& name, double lowest = 1e-6,
                        double highest = 1e4);
+
+  /// Name -> value of every counter.
+  std::map<std::string, double> counter_values() const;
 
   /// `{"counters":{...},"gauges":{...},"histograms":{...}}`
   void write_json(std::ostream& os) const;

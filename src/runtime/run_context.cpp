@@ -4,22 +4,6 @@
 
 namespace evfl::runtime {
 
-void Metrics::add(const std::string& name, double amount) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  values_[name] += amount;
-}
-
-double Metrics::value(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = values_.find(name);
-  return it == values_.end() ? 0.0 : it->second;
-}
-
-std::unordered_map<std::string, double> Metrics::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return values_;
-}
-
 void RunContext::parallel_for(
     std::size_t total, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body) const {

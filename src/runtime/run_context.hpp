@@ -3,10 +3,10 @@
 // data pipeline, the federated drivers).
 //
 // Ownership rules: a RunContext is a non-owning view.  Whoever builds the
-// ThreadPool / Metrics (a ScenarioRunner, a bench main, a test) keeps them
-// alive for as long as any RunContext pointing at them is in use.  A
-// default-constructed RunContext (or a nullptr where one is optional) means
-// "serial, no metrics" and is always valid.
+// ThreadPool / obs::Registry / TraceWriter (a ScenarioRunner, a bench main,
+// a test) keeps them alive for as long as any RunContext pointing at them
+// is in use.  A default-constructed RunContext (or a nullptr where one is
+// optional) means "serial, uncounted, untraced" and is always valid.
 //
 // Determinism contract: parallel code paths must produce bit-identical
 // results to the serial path.  The two mechanisms are (a) pre-splitting
@@ -17,11 +17,9 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "metrics/timer.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/workspace.hpp"
@@ -29,41 +27,9 @@
 
 namespace evfl::runtime {
 
-/// Thread-safe counter sink for lightweight observability: counters and
-/// accumulated timer seconds share one name → double map.
-class Metrics {
- public:
-  void add(const std::string& name, double amount = 1.0);
-  /// Current value of a counter; 0 when never touched.
-  double value(const std::string& name) const;
-  std::unordered_map<std::string, double> snapshot() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, double> values_;
-};
-
-/// RAII timer accumulating elapsed wall seconds into a Metrics counter on
-/// destruction.  A nullptr sink makes it a no-op.
-class ScopedTimer {
- public:
-  ScopedTimer(Metrics* sink, std::string name)
-      : sink_(sink), name_(std::move(name)) {}
-  ~ScopedTimer() {
-    if (sink_ != nullptr) sink_->add(name_, timer_.seconds());
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Metrics* sink_;
-  std::string name_;
-  metrics::WallTimer timer_;
-};
-
 struct RunContext {
-  ThreadPool* pool = nullptr;   // nullptr -> serial execution
-  Metrics* metrics = nullptr;   // nullptr -> metrics calls are no-ops
+  ThreadPool* pool = nullptr;           // nullptr -> serial execution
+  obs::Registry* registry = nullptr;    // nullptr -> count() is a no-op
   // Optional explicit scratch arena.  Leave null to use the per-thread
   // lane; set only for single-threaded callers (tests, benches) that want
   // an isolated arena they can inspect.
@@ -93,8 +59,9 @@ struct RunContext {
   /// enough slack to absorb uneven chunk cost without drowning in dispatch.
   std::size_t grain_for(std::size_t total) const;
 
-  void count(const std::string& name, double amount = 1.0) const {
-    if (metrics != nullptr) metrics->add(name, amount);
+  /// Add `amount` to the registry's counter `name`.
+  void count(const char* name, double amount = 1.0) const {
+    if (registry != nullptr) registry->counter(name).add(amount);
   }
 
   /// RAII trace span recording into the attached writer; inert when no

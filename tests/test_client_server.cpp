@@ -79,7 +79,9 @@ TEST(Client, ServeHandlesRoundsOverNetwork) {
   GlobalModel global;
   global.weights = client.initial_weights();
   net.send(Message{kServerNode, 5, serialize(global)});
-  client.serve(net, 1, 1000.0);
+  ServeOptions opts;
+  opts.receive_timeout_ms = 1000.0;
+  client.serve(net, 1, opts);
 
   const auto up = net.try_receive(kServerNode);
   ASSERT_TRUE(up.has_value());
@@ -93,7 +95,9 @@ TEST(Client, ServeExitsOnTimeout) {
   ClientConfig cfg;
   Client client(1, x, y, linear_factory(), cfg, Rng(6));
   InMemoryNetwork net;
-  client.serve(net, 3, 10.0);  // nothing arrives; returns promptly
+  ServeOptions opts;
+  opts.receive_timeout_ms = 10.0;
+  client.serve(net, 3, opts);  // nothing arrives; returns promptly
   EXPECT_EQ(net.stats().messages_sent, 0u);
 }
 

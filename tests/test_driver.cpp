@@ -107,6 +107,25 @@ TEST(SyncDriver, ToleratesDroppedMessages) {
   EXPECT_GT(net.stats().messages_dropped, 0u);
 }
 
+TEST(SyncDriver, ZeroDeadlineMakesEveryUpdateLate) {
+  // As in the threaded and fleet drivers, a deadline <= 0 admits no
+  // update: nothing is aggregated and every reached client times out.
+  auto clients = make_clients(16, 14);
+  Server server({0.0f, 0.0f});
+  InMemoryNetwork net;
+  RoundPolicy policy;
+  policy.round_deadline_ms = 0.0;
+  SyncDriver driver(server, clients, net, nullptr, nullptr, policy);
+  const FederatedRunResult result = driver.run(2);
+  ASSERT_EQ(result.rounds.size(), 2u);
+  for (const RoundMetrics& r : result.rounds) {
+    EXPECT_EQ(r.dropped_messages, 0u);  // lossless: all 3 were reached
+    EXPECT_EQ(r.updates_received, 0u);
+    EXPECT_EQ(r.timed_out_clients, clients.size());
+  }
+  EXPECT_EQ(result.final_weights, (std::vector<float>{0.0f, 0.0f}));
+}
+
 TEST(ThreadedDriver, MatchesProtocolAndConverges) {
   auto clients = make_clients(64, 6);
   Server server({0.0f, 0.0f});

@@ -6,7 +6,10 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "datagen/fleet.hpp"
 #include "fl/driver.hpp"
+#include "fl/fleet.hpp"
+#include "forecast/model.hpp"
 #include "nn/dense.hpp"
 #include "obs/round_telemetry.hpp"
 #include "obs/telemetry.hpp"
@@ -341,6 +344,43 @@ TEST(TraceWriter, ThreadedDriverFlushesSpansAtTeardown) {
   std::string all((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
   EXPECT_NE(all.find("\"fl.round\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(TraceWriter, FleetDriverFlushesSpansAtTeardown) {
+  // The fleet runs the same round loop: a round span, one training span
+  // per materialized leaf, and a flush before run() returns.
+  const std::string path = "test_trace_fleet_teardown.jsonl";
+  TraceWriter writer(path);
+  runtime::RunContext ctx;
+  ctx.trace = &writer;
+
+  datagen::FleetConfig fleet_cfg;
+  fleet_cfg.clients = 4;
+  fleet_cfg.hours = 60;
+  forecast::ForecasterConfig model_cfg;
+  model_cfg.sequence_length = 12;
+  model_cfg.lstm_units = 4;
+  model_cfg.dense_units = 2;
+  const fl::ModelFactory factory = [model_cfg](tensor::Rng& rng) {
+    return forecast::make_forecaster(model_cfg, rng);
+  };
+  tensor::Rng rng(7);
+  fl::Server root(factory(rng).get_weights());
+  fl::FleetDriverConfig cfg;
+  cfg.edges = 2;
+  cfg.lookback = 12;
+  cfg.client.epochs_per_round = 1;
+  fl::FleetDriver driver(root, datagen::make_fleet(fleet_cfg), factory, cfg,
+                         &ctx);
+  driver.run(1);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open());
+  std::string all((std::istreambuf_iterator<char>(in)),
+                  std::istreambuf_iterator<char>());
+  EXPECT_NE(all.find("\"fl.round\""), std::string::npos);
+  EXPECT_NE(all.find("\"fl.client_train\""), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -98,13 +98,13 @@ TEST(RunContext, SerialDefaultAndGrainFloor) {
 
 TEST(RunContext, MetricsAccumulateThreadSafely) {
   ThreadPool pool(4);
-  Metrics metrics;
-  RunContext ctx{&pool, &metrics};
+  obs::Registry registry;
+  RunContext ctx{&pool, &registry};
   ctx.parallel_for(100, 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) ctx.count("ticks");
   });
-  EXPECT_DOUBLE_EQ(metrics.value("ticks"), 100.0);
-  EXPECT_DOUBLE_EQ(metrics.value("never_touched"), 0.0);
+  EXPECT_DOUBLE_EQ(registry.counter("ticks").value(), 100.0);
+  EXPECT_DOUBLE_EQ(registry.counter("never_touched").value(), 0.0);
 }
 
 TEST(RunContext, SplitRngsMatchesSequentialSplits) {
@@ -706,8 +706,8 @@ TEST(PipelineDeterminism, ParallelPrepareClientsBitIdenticalToSerial) {
   const std::vector<core::ClientData> serial = core::prepare_clients(cfg);
 
   ThreadPool pool(4);
-  Metrics metrics;
-  RunContext ctx{&pool, &metrics};
+  obs::Registry registry;
+  RunContext ctx{&pool, &registry};
   const std::vector<core::ClientData> parallel =
       core::prepare_clients(cfg, &ctx);
 
@@ -726,7 +726,7 @@ TEST(PipelineDeterminism, ParallelPrepareClientsBitIdenticalToSerial) {
     EXPECT_EQ(s.injection.points_attacked, p.injection.points_attacked);
     EXPECT_EQ(s.injection.bursts, p.injection.bursts);
   }
-  EXPECT_GE(metrics.value("pipeline.parallel_client_preps"), 1.0);
+  EXPECT_GE(registry.counter("pipeline.parallel_client_preps").value(), 1.0);
 }
 
 // ---- drivers ----------------------------------------------------------------
@@ -740,10 +740,11 @@ fl::ModelFactory linear_factory() {
 }
 
 std::vector<std::unique_ptr<fl::Client>> make_clients(std::size_t n_per_client,
-                                                      std::uint64_t seed) {
+                                                      std::uint64_t seed,
+                                                      int count = 3) {
   std::vector<std::unique_ptr<fl::Client>> clients;
   Rng root(seed);
-  for (int c = 0; c < 3; ++c) {
+  for (int c = 0; c < count; ++c) {
     Tensor3 x(n_per_client, 1, 1), y(n_per_client, 1, 1);
     Rng data_rng = root.split();
     for (std::size_t i = 0; i < n_per_client; ++i) {
@@ -772,6 +773,36 @@ TEST(PoolBackedSyncDriver, BitIdenticalToSerialDriver) {
   ThreadPool pool(4);
   RunContext ctx{&pool, nullptr};
   EXPECT_EQ(run_with(nullptr), run_with(&ctx));
+}
+
+TEST(PoolBackedSyncDriver, BitIdenticalToSerialUnderLossyNetwork) {
+  // The network draws one drop decision per message from a single RNG, so
+  // the pool must not decide the message order: the broadcast goes out
+  // before dispatch and the uploads after the barrier, in cohort order.
+  auto run_with = [](const RunContext* ctx) {
+    auto clients = make_clients(1024, 10, 8);
+    fl::Server server({0.0f, 0.0f});
+    fl::NetworkConfig net_cfg;
+    net_cfg.drop_probability = 0.3;
+    net_cfg.drop_seed = 3;
+    fl::InMemoryNetwork net(net_cfg);
+    fl::SyncDriver driver(server, clients, net, ctx);
+    return driver.run(6);
+  };
+  const fl::FederatedRunResult serial = run_with(nullptr);
+  ThreadPool pool(4);
+  RunContext ctx{&pool, nullptr};
+  for (int rep = 0; rep < 4; ++rep) {
+    const fl::FederatedRunResult pooled = run_with(&ctx);
+    ASSERT_EQ(pooled.rounds.size(), serial.rounds.size());
+    for (std::size_t r = 0; r < serial.rounds.size(); ++r) {
+      EXPECT_EQ(pooled.rounds[r].dropped_messages,
+                serial.rounds[r].dropped_messages) << "rep " << rep;
+      EXPECT_EQ(pooled.rounds[r].updates_received,
+                serial.rounds[r].updates_received) << "rep " << rep;
+    }
+    EXPECT_EQ(pooled.final_weights, serial.final_weights) << "rep " << rep;
+  }
 }
 
 TEST(PoolBackedSyncDriver, RunsThroughDriverInterface) {
