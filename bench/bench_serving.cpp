@@ -11,10 +11,10 @@
 //   bench_serving --check-allocs   # short run; exit 1 if a steady-state
 //                                  # scoring batch still allocates
 //
-// Honors the serving CLI knobs: --serve-batch N, --serve-quant-bits 0|8
-// (restricts the comparison table to that precision), --threads N (adds a
-// pool-parallel engine measurement; note ThreadPool dispatch itself
-// allocates, so the zero-alloc gate always measures the serial path).
+// Always compares both snapshot precisions.  Honors --serve-batch N and
+// --threads N (adds a pool-parallel engine measurement; note ThreadPool
+// dispatch itself allocates, so the zero-alloc gate always measures the
+// serial path).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -287,8 +287,7 @@ int main(int argc, char** argv) {
          << ", \"seq\": " << model_cfg.sequence_length
          << ", \"hidden\": " << model_cfg.lstm_units
          << ", \"dense\": " << model_cfg.dense_units
-         << ", \"threads\": " << cfg.threads
-         << ", \"serve_quant_bits\": " << cfg.serve_quant_bits << "},\n";
+         << ", \"threads\": " << cfg.threads << "},\n";
     json_entry(json, "baseline_per_series", baseline, ",");
     json_entry(json, "engine_fp32", fp32_stats, ",");
     json_entry(json, "engine_int8", int8_stats, ",");

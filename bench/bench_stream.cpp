@@ -52,6 +52,7 @@
 
 #include "alloc_counter.hpp"
 #include "anomaly/threshold.hpp"
+#include "common/hash.hpp"
 #include "core/config.hpp"
 #include "core/pipeline.hpp"
 #include "data/csv.hpp"
@@ -80,11 +81,8 @@ constexpr float kPi = 3.14159265f;
 /// Deterministic per-(zone, t) ripple in [-1, 1] (splitmix64 hash), so
 /// zone series are reproducible without a shared stateful RNG.
 float ripple(std::size_t zone, std::size_t t) {
-  std::uint64_t x = (static_cast<std::uint64_t>(zone) << 32 | t) +
-                    0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  x ^= x >> 31;
+  const std::uint64_t x =
+      splitmix64(static_cast<std::uint64_t>(zone) << 32 | t);
   return static_cast<float>(x >> 11) * 0x1.0p-52f - 1.0f;
 }
 

@@ -4,18 +4,12 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "data/timeseries.hpp"
 
 namespace evfl::anomaly {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 /// Inclusive linear-interpolated percentile of an already-sorted,
 /// all-finite range.

@@ -129,13 +129,6 @@ void apply_cli_overrides(ExperimentConfig& cfg, int argc, char** argv) {
                     "' (expected 1..4096)");
       }
       cfg.serve_batch = batch;
-    } else if (key == "--serve-quant-bits") {
-      const std::uint64_t bits = parse_unsigned(key, value);
-      if (bits != 0 && bits != 8) {
-        throw Error("bad value for --serve-quant-bits: '" + value +
-                    "' (expected 0 for fp32 or 8 for int8)");
-      }
-      cfg.serve_quant_bits = static_cast<int>(bits);
     } else if (key == "--stream-queue-max") {
       const std::uint64_t n = parse_unsigned(key, value);
       if (n < 1 || n > 1'048'576) {

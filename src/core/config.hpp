@@ -45,11 +45,9 @@ struct ExperimentConfig {
   /// participates every round.
   double sample_frac = 1.0;
 
-  /// Serving-engine knobs (forecast::Engine, bench_serving): series scored
-  /// per engine batch, and snapshot weight storage — 0 keeps fp32, 8
-  /// freezes int8 block-quantized snapshots.
+  /// Serving-engine knob (forecast::Engine, bench_serving): series scored
+  /// per engine batch.
   std::size_t serve_batch = 32;
-  int serve_quant_bits = 0;
 
   /// Streaming online detection (stream::ShardedPipeline, bench_stream):
   /// queue-max bounds the event queue (drop-oldest past the max) and each
@@ -98,8 +96,8 @@ struct ExperimentConfig {
 ///   --cache-dir PATH  --trace-out FILE  --metrics-json FILE
 ///   --codec dense|delta|topk|topk_q  --topk-frac X  --quant-bits 4|8
 ///   --clients N  --edges N  --sample-frac X
-///   --serve-batch N (1..4096)  --serve-quant-bits 0|8 (0 = fp32 snapshots)
-///   --stream 0|1  --stream-queue-max N (1..1048576)  --stream-flush N (>=1)
+///   --serve-batch N (1..4096)
+///   --stream-queue-max N (1..1048576)  --stream-flush N (>=1)
 ///   --stream-shards N (1..256)  --stream-drift-z X (>= 0, 0 = probe off)
 ///   --agg-rule mean|trimmed_mean|median|norm_bounded|multi_krum
 ///   --attack-kind none|sign_flip|alie|label_flip|backdoor

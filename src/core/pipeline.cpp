@@ -304,11 +304,10 @@ stream::ShardedConfig make_sharded_config(const ExperimentConfig& cfg,
   sc.stream.queue_shrink = std::max<std::size_t>(1, cfg.stream_queue_max / 4);
   sc.stream.flush_batch = cfg.stream_flush;
   sc.stream.drift_z = cfg.stream_drift_z;
-  // Ring bound mirrors the event-queue knob (both are "how much burst the
-  // runtime absorbs before counted drops"), clamped to the MpscRing floor;
-  // watermark at a quarter of it like the event queue.
-  sc.ring_max = std::max<std::size_t>(8, cfg.stream_queue_max);
-  sc.ring_shrink = std::max<std::size_t>(8, sc.ring_max / 4);
+  // Each shard's ingest ring is sized like the event queue: both are "how
+  // much burst the runtime absorbs before counted drops".
+  sc.ring_max = sc.stream.queue_max;
+  sc.ring_shrink = sc.stream.queue_shrink;
   return sc;
 }
 

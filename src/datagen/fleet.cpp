@@ -4,19 +4,13 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "datagen/shenzhen.hpp"
 #include "tensor/rng.hpp"
 
 namespace evfl::datagen {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 /// Multiplicative log-normal jitter with a generic sanity clamp: a drawn
 /// factor exp(sigma * z) stays within [1/4x, 4x] of the archetype value.

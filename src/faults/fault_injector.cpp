@@ -3,30 +3,21 @@
 #include <cmath>
 #include <limits>
 
+#include "common/hash.hpp"
+
 namespace evfl::faults {
 
 namespace {
 
-// splitmix64 finalizer: cheap, well-mixed, and stateless — the right shape
-// for schedule-independent per-(rule, client, round) decisions.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
+// Schedule-independent per-(rule, client, round) decisions.
 std::uint64_t decision_hash(std::uint64_t seed, std::size_t rule_index,
                             int client, std::uint32_t round) {
-  std::uint64_t h = mix64(seed ^ 0xA5A5A5A5A5A5A5A5ull);
-  h = mix64(h ^ static_cast<std::uint64_t>(rule_index));
-  h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(client)));
-  h = mix64(h ^ static_cast<std::uint64_t>(round));
+  std::uint64_t h = splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5ull);
+  h = splitmix64(h ^ static_cast<std::uint64_t>(rule_index));
+  h = splitmix64(
+      h ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(client)));
+  h = splitmix64(h ^ static_cast<std::uint64_t>(round));
   return h;
-}
-
-double to_unit_interval(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 }  // namespace
@@ -38,7 +29,7 @@ bool FaultInjector::decide(std::size_t rule_index, const FaultRule& rule,
                            int client, std::uint32_t round) const {
   if (!rule.matches(client, round)) return false;
   if (rule.probability >= 1.0) return true;
-  return to_unit_interval(decision_hash(seed_, rule_index, client, round)) <
+  return unit_interval(decision_hash(seed_, rule_index, client, round)) <
          rule.probability;
 }
 

@@ -4,29 +4,19 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace evfl::fl {
 
 namespace {
 
-// splitmix64 finalizer — the same stateless decision hash the fault layer
-// uses (faults/fault_injector.cpp), so adversary choices share its
-// schedule-independence guarantees.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
+// Adversary choices use the fault layer's stateless decision hash, so they
+// share its schedule-independence guarantees.
 std::uint64_t member_hash(std::uint64_t seed, int client) {
-  std::uint64_t h = mix64(seed ^ 0xADEBAD0DEull);
-  h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(client)));
+  std::uint64_t h = splitmix64(seed ^ 0xADEBAD0DEull);
+  h = splitmix64(
+      h ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(client)));
   return h;
-}
-
-double to_unit_interval(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 /// Shared ALIE drift sign for one coordinate: +1/-1 from (seed, coord)
@@ -34,9 +24,9 @@ double to_unit_interval(std::uint64_t h) {
 /// persistent direction, so the per-round drifts compound instead of
 /// averaging out, and no communication between attackers is needed.
 double drift_sign(std::uint64_t seed, std::size_t coord) {
-  return (mix64(seed ^ 0xD51F7ull ^ static_cast<std::uint64_t>(coord)) & 1u)
-             ? 1.0
-             : -1.0;
+  const std::uint64_t h =
+      splitmix64(seed ^ 0xD51F7ull ^ static_cast<std::uint64_t>(coord));
+  return (h & 1u) ? 1.0 : -1.0;
 }
 
 }  // namespace
@@ -78,7 +68,7 @@ bool AdversarySuite::is_attacker(int client_id) const {
     return explicit_members_.count(client_id) != 0;
   }
   if (cfg_.fraction <= 0.0) return false;
-  return to_unit_interval(member_hash(cfg_.seed, client_id)) < cfg_.fraction;
+  return unit_interval(member_hash(cfg_.seed, client_id)) < cfg_.fraction;
 }
 
 bool AdversarySuite::active(int client_id, std::uint32_t round) const {

@@ -8,9 +8,9 @@ namespace evfl::fl {
 Aggregator::Aggregator(std::vector<float> initial_weights, FedAvgConfig cfg,
                        ValidatorConfig validator_cfg, CodecConfig codec)
     : weights_(std::move(initial_weights)),
-      cfg_(cfg),
       validator_(validator_cfg),
-      codec_(codec) {
+      codec_(codec),
+      fold_(cfg) {
   EVFL_REQUIRE(!weights_.empty(), "aggregator needs non-empty initial weights");
 }
 
@@ -38,10 +38,7 @@ void Aggregator::adopt(std::uint32_t round, const std::vector<float>& weights) {
 
 void Aggregator::open_round() {
   gate_.emplace(validator_.config(), round_, weights_);
-  accum_.reset(weights_.size());
-  if (cfg_.rule != AggregationRule::kMean) {
-    robust_buf_.reset(weights_.size(), cfg_.robust_buffer_cap);
-  }
+  fold_.reset(weights_.size());
   samples_accum_ = 0;
   loss_accum_ = 0.0;
 }
@@ -64,34 +61,7 @@ void Aggregator::offer(WeightUpdate u) {
     u.is_delta = false;
   }
 
-  std::uint64_t fold_weight;
-  if (!u.agg_terms.empty()) {
-    // Forwarded partial aggregate: fold the exact shard sums.  Cumulative
-    // sample count makes two-level weighting equal flat weighting.
-    EVFL_REQUIRE(u.agg_terms.size() == accum_.dim(),
-                 "offer: aggregate term dimension mismatch");
-    fold_weight = cfg_.weighted_by_samples ? u.sample_count
-                                           : u.agg_contributors;
-    EVFL_REQUIRE(fold_weight > 0, "offer: aggregate update with zero weight");
-    accum_.add_terms(u.agg_terms, fold_weight, u.agg_contributors);
-  } else {
-    EVFL_REQUIRE(!cfg_.weighted_by_samples || u.sample_count > 0,
-                 "offer: sample-weighted update with zero samples");
-    // A clipped aggregate lost its exact terms but still stands in for
-    // agg_contributors leaves under unweighted averaging.
-    const std::uint64_t unweighted =
-        u.agg_contributors > 0 ? u.agg_contributors : 1;
-    fold_weight = cfg_.weighted_by_samples ? u.sample_count : unweighted;
-    const bool is_leaf = u.agg_contributors == 0;
-    if (cfg_.rule != AggregationRule::kMean && is_leaf && !robust_buf_.full()) {
-      // Robust mode buffers leaves for the order-statistic reduction at
-      // close.  Forwarded aggregates (robust at their own tier) and any
-      // overflow past the buffer cap keep folding into the exact mean.
-      robust_buf_.add(u.weights, fold_weight);
-    } else {
-      accum_.add_update(u.weights, fold_weight);
-    }
-  }
+  const std::uint64_t fold_weight = fold_.add(u);
   samples_accum_ += u.sample_count;
   loss_accum_ +=
       static_cast<double>(fold_weight) * static_cast<double>(u.train_loss);
@@ -105,41 +75,12 @@ double Aggregator::close_round() {
   has_lossy_reference_ = false;
   if (last_audit_.accepted == 0 || !last_audit_.quorum_met) return 0.0;
 
-  if (cfg_.rule == AggregationRule::kMean || robust_buf_.count() == 0) {
-    accum_.mean(next_scratch_);
-  } else {
-    // The movement basis for kNormBoundedMean is the weights the round
-    // opened with — still in weights_ until the swap below.
-    robust_buf_.aggregate(cfg_, &weights_, robust_scratch_);
-    if (accum_.total_weight() == 0) {
-      next_scratch_.assign(robust_scratch_.begin(), robust_scratch_.end());
-    } else {
-      // Robust leaf reduction + exactly-folded shard aggregates, combined
-      // by total FedAvg weight.
-      accum_.mean(next_scratch_);
-      const double wr = static_cast<double>(robust_buf_.total_weight());
-      const double wm = static_cast<double>(accum_.total_weight());
-      for (std::size_t i = 0; i < next_scratch_.size(); ++i) {
-        next_scratch_[i] = static_cast<float>(
-            (wr * static_cast<double>(robust_scratch_[i]) +
-             wm * static_cast<double>(next_scratch_[i])) /
-            (wr + wm));
-      }
-    }
-  }
+  // The movement basis for kNormBoundedMean is the weights the round
+  // opened with — still in weights_ until the swap below.
+  fold_.result(&weights_, next_scratch_);
   const double delta = l2_distance(weights_, next_scratch_);
   std::swap(weights_, next_scratch_);
   return delta;
-}
-
-std::uint64_t Aggregator::accepted_contributors() const {
-  // robust_buf_ is untouched (count 0) under kMean; post-close it still
-  // holds the closed round's contents, matching accumulated()'s lifetime.
-  return accum_.contributors() + robust_buf_.count();
-}
-
-std::uint64_t Aggregator::accepted_weight() const {
-  return accum_.total_weight() + robust_buf_.total_weight();
 }
 
 double Aggregator::finish_round(std::vector<WeightUpdate> updates) {

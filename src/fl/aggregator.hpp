@@ -44,7 +44,7 @@ class Aggregator {
   std::uint32_t round() const { return round_; }
   const std::vector<float>& weights() const { return weights_; }
   const CodecConfig& codec() const { return codec_; }
-  AggregationRule rule() const { return cfg_.rule; }
+  AggregationRule rule() const { return fold_.config().rule; }
 
   /// The broadcast for the current round.
   GlobalModel broadcast() const;
@@ -83,13 +83,13 @@ class Aggregator {
 
   // Post-close views of what the round accumulated (what an EdgeAggregator
   // forwards upstream).  Valid until the next offer()/adopt().
-  const FedAccumulator& accumulated() const { return accum_; }
+  const FedAccumulator& accumulated() const { return fold_.exact(); }
   std::uint64_t accepted_samples() const { return samples_accum_; }
   /// Leaves covered this round, across both the exact accumulator and the
   /// robust buffer (equals accumulated().contributors() under kMean).
-  std::uint64_t accepted_contributors() const;
+  std::uint64_t accepted_contributors() const { return fold_.contributors(); }
   /// Total FedAvg weight folded + buffered this round.
-  std::uint64_t accepted_weight() const;
+  std::uint64_t accepted_weight() const { return fold_.total_weight(); }
   /// Fold-weighted mean train loss of the accepted updates.
   float accepted_loss() const;
 
@@ -97,7 +97,6 @@ class Aggregator {
   void open_round();
 
   std::vector<float> weights_;
-  FedAvgConfig cfg_;
   UpdateValidator validator_;
   CodecConfig codec_;
   RoundAudit last_audit_;
@@ -107,12 +106,10 @@ class Aggregator {
   bool has_lossy_reference_ = false;
 
   std::optional<RoundGate> gate_;        // engaged while a round is open
-  FedAccumulator accum_;
-  RobustBuffer robust_buf_;              // leaf buffer under robust rules
+  RoundFold fold_;                       // the open round's FedAvg fold
   std::uint64_t samples_accum_ = 0;
   double loss_accum_ = 0.0;              // Σ fold_weight * train_loss
   std::vector<float> next_scratch_;      // close_round mean target
-  std::vector<float> robust_scratch_;    // robust-reduction target
 };
 
 /// One interior node of an aggregation tree: a server to its shard, a

@@ -97,7 +97,7 @@ CodecKind parse_codec_kind(const std::string& name) {
 }
 
 bool broadcast_is_lossy(const CodecConfig& cfg) {
-  return cfg.kind == CodecKind::kTopKQuant && cfg.quantize_broadcast;
+  return cfg.kind == CodecKind::kTopKQuant;
 }
 
 UpdateEncoder::UpdateEncoder(CodecConfig cfg) : cfg_(cfg) {

@@ -26,9 +26,9 @@
 //
 // The encoder is client-side state (one residual vector per client).  The
 // server decodes updates to dense *delta* vectors (WeightUpdate::is_delta),
-// runs the UpdateValidator on the decoded update, averages in delta space
-// and re-materializes against the broadcast reference — see
-// Server::finish_round and DESIGN.md §10.
+// runs the UpdateValidator on the decoded update and re-materializes it
+// against the broadcast reference before folding — see Aggregator::offer
+// and DESIGN.md §10.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +67,6 @@ struct CodecConfig {
   /// would perturb every client's starting point, uplink error is absorbed
   /// by the error-feedback residual.
   int quant_bits = 8;
-  /// Under kTopKQuant, also block-quantize the server's broadcast (the
-  /// downlink is half the round's bytes; without this the best possible
-  /// round-level ratio is 2x).
-  bool quantize_broadcast = true;
 };
 
 /// "dense" / "delta" / "topk" / "topk_q".
@@ -124,9 +120,9 @@ class UpdateEncoder {
 };
 
 /// Serialize the round's broadcast under `cfg` into `out` (cleared and
-/// reused).  kTopKQuant with quantize_broadcast emits a v2 kQuantDense
-/// message (8-bit block quantization); every other codec emits the v1 dense
-/// layout byte-identically.
+/// reused).  kTopKQuant emits a v2 kQuantDense message (8-bit block
+/// quantization); every other codec emits the v1 dense layout
+/// byte-identically.
 void encode_global(std::uint32_t round, const std::vector<float>& weights,
                    const CodecConfig& cfg, std::vector<std::uint8_t>& out);
 

@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/hash.hpp"
 #include "fl/serialize.hpp"
 
 namespace evfl::fl {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 double sampling_hash01(std::uint64_t seed, std::uint32_t round,
                        int client_id) {
@@ -26,7 +14,7 @@ double sampling_hash01(std::uint64_t seed, std::uint32_t round,
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(client_id));
   const std::uint64_t h = splitmix64(
       splitmix64(seed ^ (static_cast<std::uint64_t>(round) << 32)) ^ id_bits);
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return unit_interval(h);
 }
 
 std::vector<std::size_t> select_sampled(const SamplingPolicy& policy,
@@ -79,6 +67,8 @@ std::vector<std::size_t> select_sampled(const SamplingPolicy& policy,
 }
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();

@@ -272,12 +272,8 @@ void RobustBuffer::aggregate(const FedAvgConfig& cfg,
   EVFL_REQUIRE(!reference || reference->size() == dim_,
                "RobustBuffer: reference dimension mismatch");
   switch (cfg.rule) {
-    case AggregationRule::kMean: {
-      order_.resize(count_);
-      std::iota(order_.begin(), order_.end(), std::size_t{0});
-      weighted_mean_of(order_, out);
-      return;
-    }
+    case AggregationRule::kMean:
+      break;  // kMean folds every update exactly; nothing is buffered
     case AggregationRule::kTrimmedMean: {
       std::size_t k = static_cast<std::size_t>(
           cfg.trim_fraction * static_cast<double>(count_));
@@ -296,7 +292,67 @@ void RobustBuffer::aggregate(const FedAvgConfig& cfg,
       multi_krum(cfg, out);
       return;
   }
-  throw Error("RobustBuffer: unknown aggregation rule");
+  throw Error("RobustBuffer: no robust reduction for this rule");
+}
+
+// ---- RoundFold --------------------------------------------------------------
+
+void RoundFold::reset(std::size_t dim) {
+  acc_.reset(dim);
+  if (cfg_.rule != AggregationRule::kMean) {
+    buf_.reset(dim, cfg_.robust_buffer_cap);
+  }
+}
+
+std::uint64_t RoundFold::add(const WeightUpdate& u) {
+  if (!u.agg_terms.empty()) {
+    // Forwarded partial aggregate: fold the exact shard sums.  Cumulative
+    // sample count makes two-level weighting equal flat weighting.  Under a
+    // robust rule the shard was already robust at its own tier, so the fold
+    // stays a plain weighted mean.
+    const std::uint64_t w =
+        cfg_.weighted_by_samples ? u.sample_count : u.agg_contributors;
+    EVFL_REQUIRE(w > 0, "FedAvg: aggregate update with zero weight");
+    acc_.add_terms(u.agg_terms, w, u.agg_contributors);
+    return w;
+  }
+  EVFL_REQUIRE(!cfg_.weighted_by_samples || u.sample_count > 0,
+               "FedAvg: sample-weighted update with zero samples");
+  // A clipped aggregate arrives here with its exact terms dropped but
+  // agg_contributors intact — it still stands in for that many leaves
+  // under unweighted averaging.
+  const std::uint64_t unweighted =
+      u.agg_contributors > 0 ? u.agg_contributors : 1;
+  const std::uint64_t w = cfg_.weighted_by_samples ? u.sample_count : unweighted;
+  const bool is_leaf = u.agg_contributors == 0;
+  if (cfg_.rule != AggregationRule::kMean && is_leaf && !buf_.full()) {
+    buf_.add(u.weights, w);
+  } else {
+    // kMean, a (clipped) forwarded aggregate, or buffer overflow past the
+    // cap — fold into the exact accumulator.
+    acc_.add_update(u.weights, w);
+  }
+  return w;
+}
+
+void RoundFold::result(const std::vector<float>* reference,
+                       std::vector<float>& out) {
+  if (buf_.count() == 0) {
+    acc_.mean(out);
+    return;
+  }
+  buf_.aggregate(cfg_, reference, out);
+  if (acc_.total_weight() == 0) return;
+  // Combine the robust leaf reduction with the folded aggregates by total
+  // FedAvg weight ("robust-per-shard, fold upstream").
+  acc_.mean(folded_);
+  const double wr = static_cast<double>(buf_.total_weight());
+  const double wm = static_cast<double>(acc_.total_weight());
+  for (std::size_t d = 0; d < out.size(); ++d) {
+    out[d] = static_cast<float>((wr * static_cast<double>(out[d]) +
+                                 wm * static_cast<double>(folded_[d])) /
+                                (wr + wm));
+  }
 }
 
 std::vector<float> fed_avg(const std::vector<WeightUpdate>& updates,
@@ -306,70 +362,17 @@ std::vector<float> fed_avg(const std::vector<WeightUpdate>& updates,
   const std::size_t dim = updates.front().weights.size();
   EVFL_REQUIRE(dim > 0, "fed_avg: empty weight vectors");
 
-  const bool robust = cfg.rule != AggregationRule::kMean;
-  FedAccumulator acc;
-  acc.reset(dim);
-  RobustBuffer buf;
-  if (robust) buf.reset(dim, cfg.robust_buffer_cap);
+  RoundFold fold(cfg);
+  fold.reset(dim);
   for (const WeightUpdate& u : updates) {
     if (u.weights.size() != dim) {
       throw Error("fed_avg: weight dimension mismatch (client " +
                   std::to_string(u.client_id) + ")");
     }
-    if (!u.agg_terms.empty()) {
-      // Forwarded partial aggregate: fold the exact shard sums.  Cumulative
-      // sample count makes two-level weighting equal flat weighting.  Under
-      // a robust rule the shard was already robust at its own tier, so the
-      // fold stays a plain weighted mean.
-      EVFL_REQUIRE(u.agg_terms.size() == dim,
-                   "fed_avg: aggregate term dimension mismatch");
-      const std::uint64_t w =
-          cfg.weighted_by_samples ? u.sample_count : u.agg_contributors;
-      EVFL_REQUIRE(w > 0, cfg.weighted_by_samples
-                              ? "fed_avg: aggregate update with zero samples"
-                              : "fed_avg: aggregate update with zero "
-                                "contributors");
-      acc.add_terms(u.agg_terms, w, u.agg_contributors);
-    } else {
-      EVFL_REQUIRE(!cfg.weighted_by_samples || u.sample_count > 0,
-                   "fed_avg: sample-weighted update with zero samples");
-      // A clipped aggregate arrives here with its exact terms dropped but
-      // agg_contributors intact — it still stands in for that many leaves
-      // under unweighted averaging.
-      const std::uint64_t unweighted =
-          u.agg_contributors > 0 ? u.agg_contributors : 1;
-      const std::uint64_t w =
-          cfg.weighted_by_samples ? u.sample_count : unweighted;
-      const bool is_leaf = u.agg_contributors == 0;
-      if (robust && is_leaf && !buf.full()) {
-        buf.add(u.weights, w);
-      } else {
-        // kMean, a (clipped) forwarded aggregate, or buffer overflow past
-        // the cap — fold into the exact accumulator.
-        acc.add_update(u.weights, w);
-      }
-    }
+    fold.add(u);
   }
-
   std::vector<float> out;
-  if (!robust || buf.count() == 0) {
-    acc.mean(out);
-    return out;
-  }
-  buf.aggregate(cfg, reference, out);
-  if (acc.total_weight() > 0) {
-    // Combine the robust leaf reduction with the folded aggregates by total
-    // FedAvg weight ("robust-per-shard, fold upstream").
-    std::vector<float> folded;
-    acc.mean(folded);
-    const double wr = static_cast<double>(buf.total_weight());
-    const double wm = static_cast<double>(acc.total_weight());
-    for (std::size_t d = 0; d < dim; ++d) {
-      out[d] = static_cast<float>((wr * static_cast<double>(out[d]) +
-                                   wm * static_cast<double>(folded[d])) /
-                                  (wr + wm));
-    }
-  }
+  fold.result(reference, out);
   return out;
 }
 

@@ -107,7 +107,6 @@ class FedAccumulator {
   /// nonzero total weight.
   void mean(std::vector<float>& out) const;
 
-  std::size_t dim() const { return acc_.size(); }
   std::uint64_t total_weight() const { return total_weight_; }
   std::uint64_t contributors() const { return contributors_; }
   const std::vector<ExactTerm>& terms() const { return acc_; }
@@ -125,7 +124,7 @@ class FedAccumulator {
 /// a sample-count-weighted order statistic would let a single attacker
 /// inflate its rank mass by lying about samples, which is exactly the lever
 /// robustness is meant to remove.  Sample weights still decide how the
-/// robust result combines with any folded aggregates (see fed_avg below).
+/// robust result combines with any folded aggregates (see RoundFold below).
 class RobustBuffer {
  public:
   /// Start a fresh round over `dim`-element vectors, buffering at most
@@ -135,15 +134,14 @@ class RobustBuffer {
   bool full() const { return count_ >= cap_; }
   std::size_t count() const { return count_; }
   std::uint64_t total_weight() const { return total_weight_; }
-  std::size_t dim() const { return dim_; }
 
   /// Buffer one dense update with FedAvg weight `w`.  Requires !full().
   void add(const std::vector<float>& weights, std::uint64_t w);
 
-  /// Reduce the buffered updates under cfg.rule into `out` (resized to
-  /// dim).  `reference` is the movement basis for kNormBoundedMean (the
-  /// current global weights); nullptr means movements are taken against the
-  /// zero vector.  Requires count() > 0.
+  /// Reduce the buffered updates under cfg.rule (a robust rule; kMean
+  /// throws) into `out` (resized to dim).  `reference` is the movement
+  /// basis for kNormBoundedMean (the current global weights); nullptr means
+  /// movements are taken against the zero vector.  Requires count() > 0.
   void aggregate(const FedAvgConfig& cfg, const std::vector<float>* reference,
                  std::vector<float>& out) const;
 
@@ -167,6 +165,49 @@ class RobustBuffer {
   mutable std::vector<double> norms_;
   mutable std::vector<double> scores_;
   mutable std::vector<std::size_t> order_;
+};
+
+/// One round's FedAvg fold, shared by fed_avg() and Aggregator: picks each
+/// update's fold weight (sample count, contributor count, or 1), routes
+/// leaves to the RobustBuffer under a robust rule and everything else to the
+/// exact FedAccumulator, and combines the two components by total FedAvg
+/// weight ("robust-per-shard, fold upstream").  Storage is reused across
+/// rounds.
+class RoundFold {
+ public:
+  explicit RoundFold(FedAvgConfig cfg = {}) : cfg_(cfg) {}
+
+  const FedAvgConfig& config() const { return cfg_; }
+
+  /// Start a fresh round over `dim`-element weight vectors.
+  void reset(std::size_t dim);
+
+  /// Fold one dense update or forwarded aggregate (weights already
+  /// absolute); returns its FedAvg weight.  Forwarded `agg_terms` fold
+  /// exactly, weighted by the cumulative `sample_count` (weighted mode) or
+  /// `agg_contributors` (unweighted mode).
+  std::uint64_t add(const WeightUpdate& u);
+
+  /// Write the round's aggregate into `out`.  `reference` is the movement
+  /// basis for kNormBoundedMean.  Requires total_weight() > 0.
+  void result(const std::vector<float>* reference, std::vector<float>& out);
+
+  /// The exact component (what a kMean edge forwards as kAggSum).
+  const FedAccumulator& exact() const { return acc_; }
+  /// Leaves covered, across the exact accumulator and the robust buffer.
+  std::uint64_t contributors() const {
+    return acc_.contributors() + buf_.count();
+  }
+  /// Total FedAvg weight folded and buffered.
+  std::uint64_t total_weight() const {
+    return acc_.total_weight() + buf_.total_weight();
+  }
+
+ private:
+  FedAvgConfig cfg_;
+  FedAccumulator acc_;
+  RobustBuffer buf_;           // leaves under a robust rule; empty under kMean
+  std::vector<float> folded_;  // exact-component mean, combine scratch
 };
 
 /// Aggregate client updates into the next global weight vector.

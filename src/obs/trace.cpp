@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#if EVFL_TRACING
-
 #include <cstdio>
 #include <sstream>
 
@@ -161,5 +159,3 @@ void TraceSpan::end() {
 }
 
 }  // namespace evfl::obs
-
-#endif  // EVFL_TRACING

@@ -9,26 +9,17 @@
 //
 // TraceSpan is the RAII recording handle: construct at scope entry, emit on
 // destruction.  A nullptr writer makes every operation a no-op, so call
-// sites never branch.  Building with -DEVFL_TRACING=0 compiles the whole
-// subsystem down to empty inline stubs (the no-overhead guarantee for
-// latency-critical builds).
+// sites never branch.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <utility>
-
-#ifndef EVFL_TRACING
-#define EVFL_TRACING 1
-#endif
-
-#if EVFL_TRACING
-
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 namespace evfl::obs {
 
@@ -97,32 +88,3 @@ class TraceSpan {
 };
 
 }  // namespace evfl::obs
-
-#else  // !EVFL_TRACING — every operation is an inline no-op.
-
-namespace evfl::obs {
-
-class TraceWriter {
- public:
-  explicit TraceWriter(const std::string&) {}
-  std::uint64_t now_us() const { return 0; }
-  void complete(const char*, const char*, std::uint64_t, std::uint64_t,
-                const std::string& = {}) {}
-  void instant(const char*, const char*, const std::string& = {}) {}
-  void counter(const char*, double) {}
-  std::uint64_t events_written() const { return 0; }
-  void flush() {}
-};
-
-class TraceSpan {
- public:
-  TraceSpan() = default;
-  TraceSpan(TraceWriter*, const char*, const char* = "evfl") {}
-  void annotate(const char*, double) {}
-  void annotate(const char*, std::uint64_t) {}
-  void end() {}
-};
-
-}  // namespace evfl::obs
-
-#endif  // EVFL_TRACING

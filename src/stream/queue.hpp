@@ -1,7 +1,8 @@
-// BoundedQueue — the export side of the streaming detection pipeline
-// (DESIGN.md §14): a mutex-guarded ring with explicit back-pressure,
-// following the pack/flush/shrink discipline of bounded metric exporters
-// (the InfluxStream exemplar, SNIPPETS.md Snippet 1).
+// BoundedQueue — the one bounded queue of the streaming detection pipeline
+// (DESIGN.md §14–15): each shard's sample ingest ring and the event export
+// queue.  A mutex-guarded ring with explicit back-pressure, following the
+// pack/flush/shrink discipline of bounded metric exporters (the
+// InfluxStream exemplar, SNIPPETS.md Snippet 1).
 //
 //  - push() past `max` drops the OLDEST entry and counts it: a live
 //    detector must keep the freshest events when the consumer stalls, and
@@ -15,8 +16,14 @@
 //    pins.
 //
 // Thread safety: any number of producers and consumers; a single mutex is
-// enough because both operations are O(1)/O(n-memcpy) and the queue is an
-// export buffer, not a work-distribution structure.
+// enough because both operations are O(1)/O(n-memcpy) and the queue is a
+// staging buffer, not a work-distribution structure.  Every push and drain
+// serializes on that mutex.  A push holds it for one slot write (plus the
+// copy into doubled storage when a burst grows the ring); a drain holds it
+// for the whole hand-over, O(queued entries) moves plus the watermark
+// reallocation after a burst, so producers wait out each drain.  A producer
+// preempted inside push() (holding the mutex) delays the other producers
+// and the drain until it is rescheduled.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +94,6 @@ class BoundedQueue {
     std::lock_guard<std::mutex> lock(mutex_);
     return buf_.size();
   }
-
-  std::size_t max_entries() const { return max_; }
 
  private:
   std::size_t index(std::size_t i) const {

@@ -164,7 +164,7 @@ std::size_t ShardedPipeline::flush(const runtime::RunContext* ctx) {
 
   // Phase 0: pull every shard's ring into its zones' in-order queues.
   // Shards touch disjoint zones, so this parallelizes without locks
-  // (beyond each ring's own consumer path).
+  // (beyond each ring's own mutex).
   run_shards([&](Shard& sh) { drain_ring(sh); });
 
   std::size_t total_pending = 0;

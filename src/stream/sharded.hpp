@@ -29,10 +29,11 @@
 // detector; more shards spread the per-sample bookkeeping over a pool.
 //
 //   - ingest is multi-producer: any thread may ingest() any zone at any
-//     time; the sample lands in the owning shard's bounded MPSC ring
-//     (mpsc_ring.hpp — reserve/commit fast path, drop-oldest past the hard
-//     bound with an exact count, shrink-on-drain).  ingest() never scores:
-//     the control thread sets the cadence by calling flush();
+//     time; the sample lands in the owning shard's BoundedQueue (the same
+//     queue.hpp ring the events leave through: one mutex per shard,
+//     drop-oldest past the hard bound with an exact count,
+//     shrink-on-drain).  ingest() never scores: the control thread sets
+//     the cadence by calling flush();
 //   - flush() fans in: every shard stages its ready rows into its own
 //     region of one staging tensor, the control thread moves those blocks
 //     into one contiguous prefix and makes a single wide
@@ -74,7 +75,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/run_context.hpp"
-#include "stream/mpsc_ring.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/queue.hpp"
 #include "stream/zone_state.hpp"
@@ -89,7 +89,7 @@ struct ShardedConfig {
   /// shards; `flush_batch` only sizes the per-zone queue reserve.
   StreamConfig stream{};
   /// Per-shard ingest-ring hard bound and post-drain storage watermark
-  /// (MpscRing contract: 8 <= shrink <= max).
+  /// (BoundedQueue contract: 1 <= shrink <= max).
   std::size_t ring_max = 65536;
   std::size_t ring_shrink = 4096;
 };
@@ -172,7 +172,7 @@ class ShardedPipeline {
     Shard(std::size_t ring_max, std::size_t ring_shrink)
         : ring(ring_max, ring_shrink) {}
 
-    MpscRing<IngestSample> ring;
+    BoundedQueue<IngestSample> ring;
     std::vector<std::uint32_t> zone_ids;  // owned zones, ascending
     std::vector<IngestSample> drain_buf;  // warm ring-drain scratch
     detail::RepairScratch repair;

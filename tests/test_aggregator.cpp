@@ -269,6 +269,43 @@ TEST(Aggregator, RobustParentFoldsShardAggregatesInsteadOfRebuffering) {
   EXPECT_NEAR(root.weights()[0], 2.0f, 1e-5f);
 }
 
+TEST(Aggregator, FinishRoundMatchesFedAvgUnderEveryRule) {
+  // Aggregator and fed_avg share one FedAvg fold: leaves plus a forwarded
+  // kAggSum aggregate reduce to the same weights through either entry
+  // point, bit for bit, under every rule.
+  constexpr std::size_t kDim = 4;
+  std::vector<WeightUpdate> updates = make_leaves(9, kDim);
+  updates[2].weights.assign(kDim, 40.0f);  // a Byzantine minority
+  updates[6].weights.assign(kDim, -40.0f);
+
+  FedAccumulator shard;
+  shard.reset(kDim);
+  for (const WeightUpdate& leaf : make_leaves(3, kDim)) {
+    shard.add_update(leaf.weights, leaf.sample_count);
+  }
+  std::vector<std::uint8_t> wire;
+  serialize_aggregate_into(/*round=*/0, /*client=*/-2, shard.total_weight(),
+                           /*loss=*/0.5f, shard.contributors(),
+                           shard.total_weight(), shard.terms(), wire);
+  WeightUpdate forwarded;
+  deserialize_update_into(wire, forwarded);
+  ASSERT_FALSE(forwarded.agg_terms.empty());
+  updates.push_back(std::move(forwarded));
+  const std::vector<float> init(kDim, 0.25f);
+
+  for (const AggregationRule rule :
+       {AggregationRule::kMean, AggregationRule::kTrimmedMean,
+        AggregationRule::kCoordinateMedian, AggregationRule::kNormBoundedMean,
+        AggregationRule::kMultiKrum}) {
+    FedAvgConfig cfg;
+    cfg.rule = rule;
+    Aggregator agg(init, cfg);
+    agg.finish_round(updates);
+    ASSERT_EQ(agg.last_audit().accepted, updates.size()) << to_string(rule);
+    EXPECT_EQ(agg.weights(), fed_avg(updates, cfg, &init)) << to_string(rule);
+  }
+}
+
 TEST(Aggregator, AdoptRebasesRoundAndRejectsMismatchedDim) {
   Aggregator agg(std::vector<float>{1.0f, 1.0f});
   agg.adopt(7, {2.0f, 3.0f});

@@ -178,13 +178,9 @@ TEST(CliOverrides, ThreadsCapEnforced) {
 
 TEST(CliOverrides, AppliesServingKnobs) {
   ExperimentConfig cfg;
-  EXPECT_EQ(cfg.serve_batch, 32u);     // paper batch size
-  EXPECT_EQ(cfg.serve_quant_bits, 0);  // fp32 snapshots by default
-  apply(cfg, {"--serve-batch", "128", "--serve-quant-bits", "8"});
+  EXPECT_EQ(cfg.serve_batch, 32u);  // paper batch size
+  apply(cfg, {"--serve-batch", "128"});
   EXPECT_EQ(cfg.serve_batch, 128u);
-  EXPECT_EQ(cfg.serve_quant_bits, 8);
-  apply(cfg, {"--serve-quant-bits", "0"});
-  EXPECT_EQ(cfg.serve_quant_bits, 0);
 }
 
 TEST(CliOverrides, RejectsBadServingKnobs) {
@@ -192,17 +188,12 @@ TEST(CliOverrides, RejectsBadServingKnobs) {
   // Range violations.
   EXPECT_THROW(apply(cfg, {"--serve-batch", "0"}), Error);
   EXPECT_THROW(apply(cfg, {"--serve-batch", "4097"}), Error);
-  EXPECT_THROW(apply(cfg, {"--serve-quant-bits", "4"}), Error);
-  EXPECT_THROW(apply(cfg, {"--serve-quant-bits", "16"}), Error);
   // Malformed tokens: prefix parses and negatives must throw, not truncate.
   EXPECT_THROW(apply(cfg, {"--serve-batch", "32x"}), Error);
   EXPECT_THROW(apply(cfg, {"--serve-batch", "-1"}), Error);
   EXPECT_THROW(apply(cfg, {"--serve-batch", "1.5"}), Error);
-  EXPECT_THROW(apply(cfg, {"--serve-quant-bits", "8.0"}), Error);
-  EXPECT_THROW(apply(cfg, {"--serve-quant-bits", "eight"}), Error);
   // validate-then-assign: a rejected value leaves the config untouched.
   EXPECT_EQ(cfg.serve_batch, 32u);
-  EXPECT_EQ(cfg.serve_quant_bits, 0);
 }
 
 TEST(CliOverrides, UnknownKeyThrows) {

@@ -220,8 +220,6 @@ void expect_parseable_jsonl(const std::string& path, std::size_t min_lines) {
   EXPECT_GE(lines, min_lines);
 }
 
-#if EVFL_TRACING
-
 TEST(TraceWriter, WritesOneParseableEventPerLine) {
   const std::string path = "test_trace_events.jsonl";
   {
@@ -399,22 +397,6 @@ TEST(TraceSpan, MoveTransfersOwnership) {
   }
   std::remove(path.c_str());
 }
-
-#else  // !EVFL_TRACING
-
-TEST(TraceWriter, CompiledOutStubIsFullyInert) {
-  TraceWriter w("ignored-path.jsonl");  // must not create a file
-  w.complete("a", "b", 0, 1);
-  w.instant("a", "b");
-  w.counter("a", 1.0);
-  EXPECT_EQ(w.events_written(), 0u);
-  TraceSpan span(&w, "noop");
-  span.annotate("k", 1.0);
-  span.end();
-  EXPECT_FALSE(std::ifstream("ignored-path.jsonl").is_open());
-}
-
-#endif  // EVFL_TRACING
 
 // ---- RoundTelemetrySink -----------------------------------------------------
 

@@ -12,8 +12,8 @@
 
 #include "common/error.hpp"
 #include "forecast/model.hpp"
-#include "stream/mpsc_ring.hpp"
 #include "stream/pipeline.hpp"
+#include "stream/queue.hpp"
 #include "tensor/rng.hpp"
 
 namespace evfl::stream {
@@ -22,10 +22,12 @@ namespace {
 using forecast::Engine;
 using forecast::ForecasterConfig;
 
-// ---- MpscRing: serial contract ---------------------------------------------
+// ---- Shard ingest ring: serial contract ------------------------------------
+// Each shard ingests through a BoundedQueue.  The MpscRing test ids keep the
+// name of the lock-free ring that queue replaced.
 
 TEST(MpscRing, FifoWithinBound) {
-  MpscRing<int> r(64, 8);
+  BoundedQueue<int> r(64, 8);
   for (int i = 0; i < 6; ++i) r.push(i);
   EXPECT_EQ(r.size(), 6u);
   EXPECT_EQ(r.dropped(), 0u);
@@ -37,7 +39,7 @@ TEST(MpscRing, FifoWithinBound) {
 }
 
 TEST(MpscRing, DropsOldestPastMaxWithCount) {
-  MpscRing<int> r(8, 8);
+  BoundedQueue<int> r(8, 8);
   for (int i = 0; i < 20; ++i) r.push(i);
   EXPECT_EQ(r.size(), 8u);
   EXPECT_EQ(r.dropped(), 12u);
@@ -49,7 +51,7 @@ TEST(MpscRing, DropsOldestPastMaxWithCount) {
 }
 
 TEST(MpscRing, StorageGrowsUnderBurstAndShrinksOnDrain) {
-  MpscRing<int> r(256, 8);
+  BoundedQueue<int> r(256, 8);
   EXPECT_EQ(r.capacity(), 8u);
   for (int i = 0; i < 100; ++i) r.push(i);
   EXPECT_GE(r.capacity(), 100u);
@@ -65,13 +67,12 @@ TEST(MpscRing, StorageGrowsUnderBurstAndShrinksOnDrain) {
 }
 
 TEST(MpscRing, Validation) {
-  EXPECT_THROW(MpscRing<int>(4, 4), Error);    // shrink floor is 8
-  EXPECT_THROW(MpscRing<int>(16, 32), Error);  // shrink > max
-  EXPECT_THROW(MpscRing<int>(16, 0), Error);
+  EXPECT_THROW(BoundedQueue<int>(16, 32), Error);  // shrink > max
+  EXPECT_THROW(BoundedQueue<int>(16, 0), Error);
 }
 
 TEST(MpscRing, DrainInterleavedWithPushes) {
-  MpscRing<int> r(16, 8);
+  BoundedQueue<int> r(16, 8);
   std::vector<int> out;
   int next = 0;
   for (int round = 0; round < 50; ++round) {
@@ -84,7 +85,7 @@ TEST(MpscRing, DrainInterleavedWithPushes) {
   EXPECT_EQ(r.dropped(), 0u);
 }
 
-// ---- MpscRing: concurrent fuzz ---------------------------------------------
+// ---- Shard ingest ring: concurrent fuzz ------------------------------------
 
 // Value encoding: producer id in the high bits, per-producer sequence in the
 // low bits, so FIFO-per-producer and exact-accounting are both checkable.
@@ -94,11 +95,11 @@ constexpr std::uint64_t make_item(std::uint64_t producer, std::uint64_t seq) {
 
 TEST(MpscRing, ConcurrentProducersExactDropAccounting) {
   // Concurrent producers against a draining consumer, ring small enough to
-  // force the whole slow path (grow, gate, drop-oldest).  Every pushed item
-  // must end up either drained or counted dropped — exactly once.
+  // force growth, shrink and drop-oldest.  Every pushed item must end up
+  // either drained or counted dropped — exactly once.
   constexpr std::size_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 5000;
-  MpscRing<std::uint64_t> ring(64, 8);
+  BoundedQueue<std::uint64_t> ring(64, 8);
 
   std::atomic<bool> done{false};
   std::vector<std::uint64_t> drained;
@@ -147,7 +148,7 @@ TEST(MpscRing, ConcurrentProducersNoConsumerUntilEnd) {
   // survivors (the freshest) with everything else counted dropped.
   constexpr std::size_t kProducers = 3;
   constexpr std::uint64_t kPerProducer = 2000;
-  MpscRing<std::uint64_t> ring(32, 8);
+  BoundedQueue<std::uint64_t> ring(32, 8);
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
