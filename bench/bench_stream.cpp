@@ -11,9 +11,11 @@
 //      online repair, churn, back-pressure) keeps recall on the labelled
 //      attack samples within 0.02 of the batch detector, and every point
 //      of the shard sweep (drift probe armed) holds the same bound;
-//   3. zero steady-state allocations — after warmup, a clean ingest batch
-//      (ingest + flush, nothing flagged) never touches the heap, at one
-//      shard and at fan-in (rings, staging and the merged score call);
+//   3. zero steady-state allocations — after warmup, an ingest batch
+//      (ingest + flush + drain) never touches the heap, at one shard and
+//      at fan-in (rings, staging and the merged score call), whether it
+//      is clean or attacked (every sample flagged, repaired at the window
+//      edge and exported as an event);
 //   4. shard scaling — a 1/2/4/8-shard sweep under multi-producer load
 //      records samples/s into BENCH_stream.json; the >=3x-at-8-shards
 //      gate is enforced only on hosts with >= 8 hardware threads
@@ -29,9 +31,9 @@
 //                                # throughput/recall + shard sweep, writes
 //                                # JSON, exit 1 on any gate failure
 //   bench_stream --check-allocs  # short run; exit 1 if a steady-state
-//                                # ingest batch allocates or a frozen
-//                                # replay diverges from batch (either
-//                                # shard count)
+//                                # clean or attacked ingest batch
+//                                # allocates or a frozen replay diverges
+//                                # from batch (either shard count)
 //
 // Honors --stream-queue-max / --stream-flush / --stream-shards /
 // --stream-drift-z / --seed / --threads (the alloc gates always measure
@@ -283,14 +285,20 @@ int main(int argc, char** argv) {
   }
 
   // --- 3. steady-state allocations -----------------------------------------
-  // Clean continuation traffic, thresholds pinned far above any clean
-  // score so nothing flags (a repair is allowed to allocate; the clean
-  // path is not).  After warmup (windows full, rings and queues at their
-  // steady footprint, one drain), one ingest batch — ring pushes, drain,
-  // staging, fan-in, one merged score call per round, scatter — followed
-  // by a serial flush must not touch the heap.
-  double allocs_per_batch[2] = {};
-  double bytes_per_batch[2] = {};
+  // Two kinds of continuation traffic, each measured after its own warmup
+  // (windows full, rings, queues and the event sink at their steady
+  // footprint).  Clean: thresholds pinned far above any clean score, so
+  // nothing flags.  Attacked: every sample a volumetric burst (the soak's
+  // 2x + 50 shape) against the batch thresholds, so every sample flags, is
+  // repaired at the window edge and exports an event.  One ingest batch —
+  // ring pushes, drain, staging, fan-in, one merged score call per round,
+  // scatter, repair — followed by a serial flush and an event drain must
+  // not touch the heap.
+  const char* const kTraffic[2] = {"clean", "attacked"};
+  double allocs_per_batch[2][2] = {};
+  double bytes_per_batch[2][2] = {};
+  std::uint64_t attacked_repaired[2] = {};
+  std::size_t attacked_samples = 0;
   for (std::size_t g = 0; g < 2; ++g) {
     stream::ShardedConfig scfg = core::make_sharded_config(cfg, kZones);
     scfg.shards = gate_shards[g];
@@ -302,42 +310,71 @@ int main(int argc, char** argv) {
     const std::size_t batch_ticks =
         (scfg.stream.flush_batch + kZones - 1) / kZones;
     std::size_t tick = 0;
+    bool attacked = false;
+    std::vector<stream::AnomalyEvent> sink;
     const auto run_batches = [&](std::size_t n) {
       for (std::size_t b = 0; b < n; ++b) {
         for (std::size_t k = 0; k < batch_ticks; ++k, ++tick) {
           for (std::size_t z = 0; z < kZones; ++z) {
+            const float v = clean_value(z, tick, lookback);
             pipe.ingest(static_cast<std::uint32_t>(z), tick,
-                        clean_value(z, tick, lookback));
+                        attacked ? v * 2.0f + 50.0f : v);
           }
         }
         pipe.flush();  // serial path — the gate's subject
+        pipe.drain(sink);
+        sink.clear();
       }
     };
-    std::vector<stream::AnomalyEvent> sink;
-    run_batches((lookback + 8 + batch_ticks - 1) / batch_ticks + 4);
-    pipe.drain(sink);
-
     const std::size_t meas_batches = 12;
-    const bench::AllocCount a0 = bench::alloc_now();
-    run_batches(meas_batches);
-    const bench::AllocCount a1 = bench::alloc_now();
-    allocs_per_batch[g] =
-        static_cast<double>(a1.count - a0.count) / meas_batches;
-    bytes_per_batch[g] =
-        static_cast<double>(a1.bytes - a0.bytes) / meas_batches;
-    std::printf("steady state (%zu shards): %.1f allocs / %.0f bytes per "
-                "ingest batch (%zu batches measured)\n",
-                gate_shards[g], allocs_per_batch[g], bytes_per_batch[g],
-                meas_batches);
+    attacked_samples = meas_batches * batch_ticks * kZones;
+    for (std::size_t a = 0; a < 2; ++a) {
+      attacked = a == 1;
+      if (attacked) {
+        for (std::size_t z = 0; z < kZones; ++z) {
+          pipe.freeze_threshold(static_cast<std::uint32_t>(z),
+                                zones[z].threshold);
+        }
+      }
+      run_batches((lookback + 8 + batch_ticks - 1) / batch_ticks + 4);
+
+      const std::uint64_t repaired0 = pipe.stats().repaired_total;
+      const bench::AllocCount a0 = bench::alloc_now();
+      run_batches(meas_batches);
+      const bench::AllocCount a1 = bench::alloc_now();
+      allocs_per_batch[g][a] =
+          static_cast<double>(a1.count - a0.count) / meas_batches;
+      bytes_per_batch[g][a] =
+          static_cast<double>(a1.bytes - a0.bytes) / meas_batches;
+      std::printf("steady state (%zu shards, %s): %.1f allocs / %.0f bytes "
+                  "per ingest batch (%zu batches measured)\n",
+                  gate_shards[g], kTraffic[a], allocs_per_batch[g][a],
+                  bytes_per_batch[g][a], meas_batches);
+      if (attacked) {
+        attacked_repaired[g] = pipe.stats().repaired_total - repaired0;
+      }
+    }
   }
 
   // The deterministic gates, at both shard counts.
   bool gates_fail = false;
   for (std::size_t g = 0; g < 2; ++g) {
-    if (allocs_per_batch[g] > 0.0) {
-      std::printf("FAIL: %zu-shard steady-state ingest allocates "
-                  "(%.1f/batch)\n",
-                  gate_shards[g], allocs_per_batch[g]);
+    for (std::size_t a = 0; a < 2; ++a) {
+      if (allocs_per_batch[g][a] > 0.0) {
+        std::printf("FAIL: %zu-shard steady-state %s ingest allocates "
+                    "(%.1f/batch)\n",
+                    gate_shards[g], kTraffic[a], allocs_per_batch[g][a]);
+        gates_fail = true;
+      }
+    }
+    // Without this the attacked measurement could pass by flagging
+    // nothing, and so repairing nothing.
+    if (attacked_repaired[g] != attacked_samples) {
+      std::printf("FAIL: %zu-shard attacked batches repaired %llu of %zu "
+                  "samples\n",
+                  gate_shards[g],
+                  static_cast<unsigned long long>(attacked_repaired[g]),
+                  attacked_samples);
       gates_fail = true;
     }
     if (!equivalent[g]) {
@@ -349,8 +386,9 @@ int main(int argc, char** argv) {
   }
   if (check_allocs) {
     if (!gates_fail) {
-      std::printf("OK: allocation-free at steady state and frozen replays "
-                  "match batch at 1 and %zu shards\n",
+      std::printf("OK: allocation-free at steady state (clean and "
+                  "attacked) and frozen replays match batch at 1 and %zu "
+                  "shards\n",
                   gate_shards[1]);
     }
     return gates_fail ? 1 : 0;
@@ -601,11 +639,12 @@ int main(int argc, char** argv) {
          << "  \"soak_seconds\": " << soak_secs << ",\n"
          << "  \"flush_p50_ms\": " << flush_p50_ms << ",\n"
          << "  \"flush_p99_ms\": " << flush_p99_ms << ",\n"
-         << "  \"allocs_per_ingest_batch\": " << allocs_per_batch[0] << ",\n"
-         << "  \"bytes_per_ingest_batch\": " << bytes_per_batch[0] << ",\n"
-         << "  \"sharded_allocs_per_ingest_batch\": " << allocs_per_batch[1]
+         << "  \"allocs_per_ingest_batch\": " << allocs_per_batch[0][0]
          << ",\n"
-         << "  \"sharded_bytes_per_ingest_batch\": " << bytes_per_batch[1]
+         << "  \"bytes_per_ingest_batch\": " << bytes_per_batch[0][0] << ",\n"
+         << "  \"sharded_allocs_per_ingest_batch\": "
+         << allocs_per_batch[1][0] << ",\n"
+         << "  \"sharded_bytes_per_ingest_batch\": " << bytes_per_batch[1][0]
          << ",\n"
          << "  \"frozen_equivalent\": "
          << (equivalent[0] ? "true" : "false") << ",\n"

@@ -84,7 +84,7 @@ void impute_spline(std::vector<float>& values, const Segment& seg,
   const auto r1 = right_anchor(flags, seg.end + 1);
   if (!l1 || !r1) {
     // Series edge: same hold-boundary behaviour as the linear repair.
-    interpolate_segments(values, {seg});
+    interpolate_segment(values, seg);
     return;
   }
   // Outer tangent anchors: the next trustworthy points beyond l1 / r1.
@@ -150,7 +150,7 @@ void impute_segments(std::vector<float>& values,
                  "impute_segments: segment out of range");
     switch (cfg.method) {
       case ImputationMethod::kLinear:
-        interpolate_segments(values, {seg});
+        interpolate_segment(values, seg);
         break;
       case ImputationMethod::kSeasonalNaive:
         EVFL_REQUIRE(cfg.season > 0, "seasonal imputation needs season > 0");

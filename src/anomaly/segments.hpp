@@ -21,9 +21,12 @@ struct Segment {
 std::vector<Segment> merge_segments(const std::vector<std::uint8_t>& flags,
                                     std::size_t gap_tolerance);
 
-/// Linear interpolation repair of `segments` in-place over `values`:
-/// each segment is replaced by the line between the nearest non-anomalous
-/// neighbours; at the series edges the boundary value is held constant.
+/// Linear interpolation repair of `seg` in-place over `values`: the
+/// segment is replaced by the line between its non-anomalous neighbours;
+/// at the series edges the boundary value is held constant.
+void interpolate_segment(std::vector<float>& values, const Segment& seg);
+
+/// interpolate_segment over each of `segments` in order.
 void interpolate_segments(std::vector<float>& values,
                           const std::vector<Segment>& segments);
 

@@ -216,8 +216,8 @@ void gemm_u8s7(const std::uint8_t* aq, std::size_t a_stride,
         std::min(nn::kQuantBlockSize, w.k - kb * nn::kQuantBlockSize);
     const std::size_t kq_b = (cnt + kQuad - 1) / kQuad;
     const float* ws = w.scales.data() + kb * w.padded_cols;
-    const std::int32_t* fix = w.colsum128.data() + kb * w.padded_cols;
 #if defined(__AVX2__) && defined(__FMA__)
+    const std::int32_t* fix = w.colsum128.data() + kb * w.padded_cols;
     // Panels outermost, then 4-row groups: the ~kq_b·64-byte weight panel
     // and the per-panel fixup/scale vectors are loaded once per four rows
     // instead of once per row.  The integer dots are exact, so a row's

@@ -15,6 +15,15 @@ void ensure_shape(Matrix& m, std::size_t rows, std::size_t cols) {
   if (m.rows() != rows || m.cols() != cols) m = Matrix(rows, cols);
 }
 
+/// dst = srcᵀ, reusing dst's storage when its shape already matches.
+void transpose_into(const Matrix& src, Matrix& dst) {
+  ensure_shape(dst, src.cols(), src.rows());
+  for (std::size_t r = 0; r < src.rows(); ++r) {
+    const float* row = src.row(r);
+    for (std::size_t c = 0; c < src.cols(); ++c) dst(c, r) = row[c];
+  }
+}
+
 }  // namespace
 
 Lstm::Lstm(std::size_t units, bool return_sequences, Rng& rng,
@@ -122,6 +131,11 @@ Tensor3 Lstm::backward(const Tensor3& grad_output) {
   ensure_shape(bwd_dx_step_, n, cached_in_);
   bwd_dh_.set_zero();
   bwd_dc_next_.set_zero();
+  // Every step below multiplies dZ by Wxᵀ and Whᵀ, so both are packed
+  // once per call here rather than by matmul_nt_acc on every step.  The
+  // layout is the one matmul_nt_acc packs, so the bits are the same.
+  transpose_into(wx_, bwd_wxt_);
+  transpose_into(wh_, bwd_wht_);
 
   for (std::size_t ti = t_len; ti-- > 0;) {
     const StepCache& sc = cache_[ti];
@@ -179,11 +193,11 @@ Tensor3 Lstm::backward(const Tensor3& grad_output) {
     gb_ += bwd_col_sums_;
 
     bwd_dx_step_.set_zero();
-    matmul_nt_acc(bwd_dz_, wx_, bwd_dx_step_);  // dx_t = dZ · Wxᵀ
+    matmul_acc(bwd_dz_, bwd_wxt_, bwd_dx_step_);  // dx_t = dZ · Wxᵀ
     dx.set_timestep(ti, bwd_dx_step_);
 
     bwd_dh_.set_zero();
-    matmul_nt_acc(bwd_dz_, wh_, bwd_dh_);  // dh_prev = dZ · Whᵀ
+    matmul_acc(bwd_dz_, bwd_wht_, bwd_dh_);  // dh_prev = dZ · Whᵀ
 
     // dc_prev = dc ⊙ f
     for (std::size_t r = 0; r < n; ++r) {

@@ -74,6 +74,7 @@ class Lstm : public Layer {
   Matrix bwd_dz_;                         // [N, 4H]
   Matrix bwd_dx_step_;                    // [N, in]
   Matrix bwd_col_sums_;                   // [1, 4H]
+  Matrix bwd_wxt_, bwd_wht_;              // Wxᵀ [4H, in], Whᵀ [4H, H]
 };
 
 }  // namespace evfl::nn

@@ -235,98 +235,145 @@ struct Gemm {
 
 #if defined(__AVX2__) && defined(__FMA__)
 
-/// Lanes [0, count) enabled.
-__m256i lane_mask(std::size_t count) {
-  const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)), idx);
-}
+/// One SIMD register of floats and its tail mask.  The tile code below is
+/// written once over this interface and instantiated at 8 lanes (AVX2)
+/// and, where the target has AVX-512F, at 16.
+struct Lanes8 {
+  using Vec = __m256;
+  using Mask = __m256i;
+  static constexpr std::size_t kWidth = 8;
+  /// Lanes [0, count) enabled.
+  static Mask first(std::size_t count) {
+    const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                              idx);
+  }
+  static Mask all() { return _mm256_set1_epi32(-1); }
+  static Vec load(const float* p) { return _mm256_loadu_ps(p); }
+  static Vec load(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
+  static void store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
+  static void store(float* p, Vec v, Mask m) { _mm256_maskstore_ps(p, m, v); }
+  static Vec broadcast(const float* p) { return _mm256_broadcast_ss(p); }
+  static Vec fma(Vec a, Vec b, Vec c) { return _mm256_fmadd_ps(a, b, c); }
+};
 
-/// kRows × (8·kVecs) register tile at rows [i, i + kRows), columns
-/// [j, j + 8·kVecs); with kMasked the last vector covers only the lanes
-/// set in `tail`.
-template <int kRows, int kVecs, bool kMasked>
+#if defined(__AVX512F__)
+struct Lanes16 {
+  using Vec = __m512;
+  using Mask = __mmask16;
+  static constexpr std::size_t kWidth = 16;
+  static Mask first(std::size_t count) {
+    return static_cast<Mask>((1u << count) - 1);
+  }
+  static Mask all() { return 0xFFFF; }
+  static Vec load(const float* p) { return _mm512_loadu_ps(p); }
+  static Vec load(const float* p, Mask m) {
+    return _mm512_maskz_loadu_ps(m, p);
+  }
+  static void store(float* p, Vec v) { _mm512_storeu_ps(p, v); }
+  static void store(float* p, Vec v, Mask m) { _mm512_mask_storeu_ps(p, m, v); }
+  static Vec broadcast(const float* p) { return _mm512_set1_ps(*p); }
+  static Vec fma(Vec a, Vec b, Vec c) { return _mm512_fmadd_ps(a, b, c); }
+};
+using WideLanes = Lanes16;
+#else
+using WideLanes = Lanes8;
+#endif
+
+/// kRows × (W·kVecs) register tile at rows [i, i + kRows), columns
+/// [j, j + W·kVecs), W = L::kWidth; with kMasked the last vector covers
+/// only the lanes set in `tail`.
+template <typename L, int kRows, int kVecs, bool kMasked>
 inline void fma_tile(const Gemm& g, std::size_t i, std::size_t j,
-                     __m256i tail) {
+                     typename L::Mask tail) {
+  using Vec = typename L::Vec;
+  constexpr std::size_t w = L::kWidth;
   const auto load = [&](const float* p, int v) {
-    return kMasked && v == kVecs - 1 ? _mm256_maskload_ps(p, tail)
-                                     : _mm256_loadu_ps(p);
+    return kMasked && v == kVecs - 1 ? L::load(p, tail) : L::load(p);
   };
   // The loops over r and v are unrolled before GCC's scalar replacement
   // of `acc`; otherwise the array stays on the stack and every k step
   // stores all accumulators back to memory.
-  __m256 acc[kRows][kVecs];
+  Vec acc[kRows][kVecs];
 #pragma GCC unroll 4
   for (int r = 0; r < kRows; ++r) {
 #pragma GCC unroll 4
     for (int v = 0; v < kVecs; ++v) {
-      acc[r][v] = load(g.c + (i + r) * g.cs + j + 8 * v, v);
+      acc[r][v] = load(g.c + (i + r) * g.cs + j + w * v, v);
     }
   }
   const std::size_t ars = g.ars, acs = g.acs, bs = g.bs, k = g.k;
   const float* ap = g.a + i * ars;
   const float* bp = g.b + j;
   for (std::size_t kk = 0; kk < k; ++kk, ap += acs, bp += bs) {
-    __m256 bv[kVecs];
+    Vec bv[kVecs];
 #pragma GCC unroll 4
-    for (int v = 0; v < kVecs; ++v) bv[v] = load(bp + 8 * v, v);
+    for (int v = 0; v < kVecs; ++v) bv[v] = load(bp + w * v, v);
 #pragma GCC unroll 4
     for (int r = 0; r < kRows; ++r) {
-      const __m256 av = _mm256_broadcast_ss(ap + r * ars);
+      const Vec av = L::broadcast(ap + r * ars);
 #pragma GCC unroll 4
-      for (int v = 0; v < kVecs; ++v) {
-        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
-      }
+      for (int v = 0; v < kVecs; ++v) acc[r][v] = L::fma(av, bv[v], acc[r][v]);
     }
   }
 #pragma GCC unroll 4
   for (int r = 0; r < kRows; ++r) {
 #pragma GCC unroll 4
     for (int v = 0; v < kVecs; ++v) {
-      float* cp = g.c + (i + r) * g.cs + j + 8 * v;
+      float* cp = g.c + (i + r) * g.cs + j + w * v;
       if (kMasked && v == kVecs - 1) {
-        _mm256_maskstore_ps(cp, tail, acc[r][v]);
+        L::store(cp, acc[r][v], tail);
       } else {
-        _mm256_storeu_ps(cp, acc[r][v]);
+        L::store(cp, acc[r][v]);
       }
     }
   }
 }
 
-/// kRows-row tiles down rows [i0, i1) at columns [j, j + 8·kVecs).
-template <int kRows, int kVecs, bool kMasked = false>
+/// kRows-row tiles down rows [i0, i1) at columns [j, j + W·kVecs).
+template <typename L, int kRows, int kVecs, bool kMasked = false>
 void tile_column(const Gemm& g, std::size_t i0, std::size_t i1,
-                 std::size_t j, __m256i tail = _mm256_set1_epi32(-1)) {
+                 std::size_t j, typename L::Mask tail = L::all()) {
   for (std::size_t i = i0; i < i1; i += kRows) {
-    fma_tile<kRows, kVecs, kMasked>(g, i, j, tail);
+    fma_tile<L, kRows, kVecs, kMasked>(g, i, j, tail);
   }
 }
 
 /// Rows [i0, i1), a whole number of kRows-row tiles, over every column.
-/// Column blocks are outermost, so a k × 8·kVecs panel of B stays
+/// Column blocks are outermost, so a k × W·kVecs panel of B stays
 /// L1-resident while the row tiles stream past it; the leftover columns
-/// go one vector at a time, the last < 8 of them masked.
-template <int kRows, int kVecs>
+/// go one vector at a time, the last < W of them masked.
+template <typename L, int kRows, int kVecs>
 void row_block(const Gemm& g, std::size_t i0, std::size_t i1) {
+  constexpr std::size_t w = L::kWidth;
   std::size_t j = 0;
-  for (; j + 8 * kVecs <= g.n; j += 8 * kVecs) {
-    tile_column<kRows, kVecs>(g, i0, i1, j);
+  for (; j + w * kVecs <= g.n; j += w * kVecs) {
+    tile_column<L, kRows, kVecs>(g, i0, i1, j);
   }
-  for (; j + 8 <= g.n; j += 8) tile_column<kRows, 1>(g, i0, i1, j);
-  if (j < g.n) tile_column<kRows, 1, true>(g, i0, i1, j, lane_mask(g.n - j));
+  for (; j + w <= g.n; j += w) tile_column<L, kRows, 1>(g, i0, i1, j);
+  if (j < g.n) {
+    tile_column<L, kRows, 1, true>(g, i0, i1, j, L::first(g.n - j));
+  }
 }
 
 void gemm_rows(const Gemm& g, std::size_t i0, std::size_t i1) {
-  // 4 × 16 tiles over whole groups of four rows.  The 0–3 rows left over
-  // run 32 columns wide (2 × 32, then 1 × 32), so even a lone row keeps
-  // four independent FMA chains in flight — batch-1 predict and the
-  // xᵀ·dZ gradient of a one-feature input are single rows.
+  // Whole groups of four rows run 4 × 2W tiles at the target's widest
+  // lanes (4 × 32 under AVX-512F) once B has 2W columns, and 4 × 16 below
+  // that.  The 0–3 rows left over stay on 8 lanes and run 32 columns wide
+  // (2 × 32, then 1 × 32), so even a lone row keeps four independent FMA
+  // chains in flight — batch-1 predict and the xᵀ·dZ gradient of a
+  // one-feature input are single rows.
   std::size_t i = i0 + (i1 - i0) / 4 * 4;
-  row_block<4, 2>(g, i0, i);
+  if (g.n >= 2 * WideLanes::kWidth) {
+    row_block<WideLanes, 4, 2>(g, i0, i);
+  } else {
+    row_block<Lanes8, 4, 2>(g, i0, i);
+  }
   if (i + 2 <= i1) {
-    row_block<2, 4>(g, i, i + 2);
+    row_block<Lanes8, 2, 4>(g, i, i + 2);
     i += 2;
   }
-  if (i < i1) row_block<1, 4>(g, i, i1);
+  if (i < i1) row_block<Lanes8, 1, 4>(g, i, i1);
 }
 
 #else

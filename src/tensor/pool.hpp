@@ -6,7 +6,10 @@
 // pointer pop.  Training loops cycle through a fixed set of shapes, so
 // after one warm-up step every temporary (forward outputs, gradients,
 // mini-batch gathers) is a pool hit and the steady state performs zero
-// heap allocations — the property bench_lstm_kernels pins.
+// heap allocations — the property bench_lstm_kernels pins.  Every block
+// starts on a 64-byte cache line, so a weight row's alignment, and with it
+// the GEMM's count of line-splitting loads, does not depend on where the
+// heap happened to place it.
 //
 // The pool is invisible to callers: allocator instances are stateless and
 // always equal, so vector copy/move semantics are unchanged.  Blocks freed
@@ -19,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace evfl::tensor {
@@ -30,20 +32,6 @@ void* pool_allocate(std::size_t bytes);
 /// Return a block to the calling thread's pool (or the heap if the bucket
 /// is full or the block is oversized).
 void pool_deallocate(void* p, std::size_t bytes) noexcept;
-
-struct PoolStats {
-  std::uint64_t hits = 0;      // allocations served from the free list
-  std::uint64_t misses = 0;    // allocations that fell through to the heap
-  std::uint64_t parked = 0;    // blocks currently held by the pool
-  std::uint64_t parked_bytes = 0;
-};
-
-/// Statistics of the calling thread's pool (always zero when the pool is
-/// compiled out under sanitizers).
-PoolStats pool_stats();
-
-/// Release every parked block of the calling thread back to the heap.
-void pool_trim();
 
 template <typename T>
 struct PoolAllocator {

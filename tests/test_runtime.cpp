@@ -301,16 +301,18 @@ TEST(BlockedMatmul, BitIdenticalToNaiveAcrossThreadCounts) {
 }
 
 TEST(BlockedMatmul, EveryColumnTailMatchesNaive) {
-  // Column counts around the 8-, 16- and 32-lane boundaries, each through
-  // all three products, with non-zero C so the chain starts from C.
-  // 7 rows = a 4-row tile, a 2-row and a 1-row block, each with its own
-  // column tiling.
-  for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17, 25, 31, 32, 33, 47}) {
-    const Matrix a = random_sparse_matrix(7, 11, 40 + n);
-    const Matrix b = random_sparse_matrix(11, n, 50 + n);
-    const Matrix at = random_sparse_matrix(11, 7, 60 + n);
-    const Matrix bt = random_sparse_matrix(n, 11, 70 + n);
-    const Matrix c0 = random_matrix(7, n, 80 + n);
+  // Column counts around the 8-, 16-, 32- and 64-lane boundaries of both
+  // tile widths, up to 4H at H = 25 and 50, each through all three
+  // products, with non-zero C so the chain starts from C.  11 rows = two
+  // 4-row tiles (16 lanes from n = 32 where the target has them), a 2-row
+  // and a 1-row block (always 8 lanes), each with its own column tiling.
+  for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17, 25, 31, 32, 33, 47, 48,
+                              63, 64, 65, 96, 100, 200}) {
+    const Matrix a = random_sparse_matrix(11, 13, 40 + n);
+    const Matrix b = random_sparse_matrix(13, n, 50 + n);
+    const Matrix at = random_sparse_matrix(13, 11, 60 + n);
+    const Matrix bt = random_sparse_matrix(n, 13, 70 + n);
+    const Matrix c0 = random_matrix(11, n, 80 + n);
 
     Matrix want = c0, got = c0;
     naive_matmul_acc(a, b, want);
