@@ -1,20 +1,19 @@
 // Serving-path bench at the paper's forecaster shape: forecasts/sec for
 // the per-series baseline (Sequential::predict, one series per call — the
-// path serving used before forecast::Engine) versus batched engine scoring
-// with fp32 and int8 snapshots, plus *heap allocations per scoring batch*
-// — the deterministic metric the perf-smoke CI job pins (timings are
-// trend-watched via the JSON artifact, not gated; shared runners make them
-// noisy).  Writes BENCH_serving.json.
+// path serving used before forecast::Engine) versus batched engine
+// scoring, plus *heap allocations per scoring batch* — the deterministic
+// metric the perf-smoke CI job pins (timings are trend-watched via the
+// JSON artifact, not gated; shared runners make them noisy).  Writes
+// BENCH_serving.json.
 //
 //   bench_serving                  # full run: trains briefly, prints
 //                                  # throughput/R2/latency, writes JSON
 //   bench_serving --check-allocs   # short run; exit 1 if a steady-state
 //                                  # scoring batch still allocates
 //
-// Always compares both snapshot precisions.  Honors --serve-batch N and
-// --threads N (adds a pool-parallel engine measurement; note ThreadPool
-// dispatch itself allocates, so the zero-alloc gate always measures the
-// serial path).
+// Honors --serve-batch N and --threads N (adds a pool-parallel engine
+// measurement; note ThreadPool dispatch itself allocates, so the
+// zero-alloc gate always measures the serial path).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -131,7 +130,7 @@ int main(int argc, char** argv) {
   const forecast::ForecasterConfig& model_cfg = cfg.forecaster;
 
   // Build the paper-shaped forecaster.  The full run trains it briefly on
-  // a periodic signal so the R2 comparison is against a model that has
+  // a periodic signal so the reported R2 is that of a model that has
   // actually learned something; the alloc gate skips training (allocation
   // behavior does not depend on weight values).
   Rng rng(cfg.seed);
@@ -173,12 +172,10 @@ int main(int argc, char** argv) {
   obs::Registry registry;
   obs::Histogram* base_hist = nullptr;
   obs::Histogram* fp32_hist = nullptr;
-  obs::Histogram* int8_hist = nullptr;
   obs::Histogram* pool_hist = nullptr;
   if (!check_allocs) {
     base_hist = &registry.histogram("serving.baseline_batch_seconds");
     fp32_hist = &registry.histogram("serving.fp32_batch_seconds");
-    int8_hist = &registry.histogram("serving.int8_batch_seconds");
     pool_hist = &registry.histogram("serving.fp32_pool_batch_seconds");
   }
 
@@ -199,23 +196,16 @@ int main(int argc, char** argv) {
         }
       });
 
-  // --- engine snapshots ----------------------------------------------------
+  // --- engine ---------------------------------------------------------------
   forecast::EngineConfig fp32_cfg;
   fp32_cfg.max_batch = batch;
   forecast::Engine fp32(model_cfg, fp32_cfg,
                         check_allocs ? nullptr : &registry);
   fp32.publish(weights);
 
-  forecast::EngineConfig int8_cfg = fp32_cfg;
-  int8_cfg.precision = forecast::ServePrecision::kInt8;
-  forecast::Engine int8(model_cfg, int8_cfg);
-  int8.publish(weights);
-
   std::vector<float> out(batch);
   const BatchStats fp32_stats = measure(warmup, iters, batch, fp32_hist,
                                         [&] { fp32.score(x, out.data()); });
-  const BatchStats int8_stats = measure(warmup, iters, batch, int8_hist,
-                                        [&] { int8.score(x, out.data()); });
 
   std::printf("=== serving bench (batch %zu, seq %zu, hidden %zu, "
               "threads %zu) ===\n",
@@ -223,28 +213,19 @@ int main(int argc, char** argv) {
               cfg.threads);
   print_stats("baseline_per_series", baseline);
   print_stats("engine_fp32", fp32_stats);
-  print_stats("engine_int8", int8_stats);
 
   const double speedup_fp32 =
       baseline.forecasts_per_sec > 0.0
           ? fp32_stats.forecasts_per_sec / baseline.forecasts_per_sec
           : 0.0;
-  const double speedup_int8 =
-      fp32_stats.forecasts_per_sec > 0.0
-          ? int8_stats.forecasts_per_sec / fp32_stats.forecasts_per_sec
-          : 0.0;
-  std::printf("speedup: fp32 batch vs per-series %.2fx, int8 vs fp32 "
-              "%.2fx\n",
-              speedup_fp32, speedup_int8);
+  std::printf("speedup: fp32 batch vs per-series %.2fx\n", speedup_fp32);
 
   if (check_allocs) {
     // The deterministic regression gate: a steady-state scoring batch must
-    // not touch the heap, in either precision.
-    if (fp32_stats.allocs_per_batch > 0.0 ||
-        int8_stats.allocs_per_batch > 0.0) {
-      std::printf("FAIL: steady-state scoring allocates (fp32 %.1f/batch, "
-                  "int8 %.1f/batch)\n",
-                  fp32_stats.allocs_per_batch, int8_stats.allocs_per_batch);
+    // not touch the heap.
+    if (fp32_stats.allocs_per_batch > 0.0) {
+      std::printf("FAIL: steady-state scoring allocates (%.1f/batch)\n",
+                  fp32_stats.allocs_per_batch);
       return 1;
     }
     std::printf("OK: steady-state scoring is allocation-free\n");
@@ -262,24 +243,17 @@ int main(int argc, char** argv) {
     print_stats("engine_fp32_pool", fp32_mt);
   }
 
-  // --- accuracy: int8 snapshots must track fp32 ----------------------------
+  // --- accuracy of the served forecasts -------------------------------------
   forecast::EngineConfig eval_cfg;
   eval_cfg.max_batch = ds.x.batch();
   forecast::Engine fp32_eval(model_cfg, eval_cfg);
   fp32_eval.publish(weights);
-  forecast::EngineConfig eval8_cfg = eval_cfg;
-  eval8_cfg.precision = forecast::ServePrecision::kInt8;
-  forecast::Engine int8_eval(model_cfg, eval8_cfg);
-  int8_eval.publish(weights);
 
-  std::vector<float> pred_fp32, pred_int8, actual(ds.x.batch());
+  std::vector<float> pred_fp32, actual(ds.x.batch());
   fp32_eval.score(ds.x, pred_fp32);
-  int8_eval.score(ds.x, pred_int8);
   for (std::size_t i = 0; i < actual.size(); ++i) actual[i] = ds.y(i, 0, 0);
   const double r2_fp32 = metrics::r2_score(actual, pred_fp32);
-  const double r2_int8 = metrics::r2_score(actual, pred_int8);
-  std::printf("R2: fp32 %.4f, int8 %.4f (cost %.4f)\n", r2_fp32, r2_int8,
-              r2_fp32 - r2_int8);
+  std::printf("R2: fp32 %.4f\n", r2_fp32);
 
   {
     std::ofstream json("BENCH_serving.json");
@@ -290,13 +264,9 @@ int main(int argc, char** argv) {
          << ", \"threads\": " << cfg.threads << "},\n";
     json_entry(json, "baseline_per_series", baseline, ",");
     json_entry(json, "engine_fp32", fp32_stats, ",");
-    json_entry(json, "engine_int8", int8_stats, ",");
     if (cfg.threads != 1) json_entry(json, "engine_fp32_pool", fp32_mt, ",");
     json << "  \"speedup_fp32_vs_baseline\": " << speedup_fp32 << ",\n"
-         << "  \"speedup_int8_vs_fp32\": " << speedup_int8 << ",\n"
-         << "  \"r2_fp32\": " << r2_fp32 << ",\n"
-         << "  \"r2_int8\": " << r2_int8 << ",\n"
-         << "  \"r2_cost\": " << r2_fp32 - r2_int8 << "\n}\n";
+         << "  \"r2_fp32\": " << r2_fp32 << "\n}\n";
   }
   std::printf("wrote BENCH_serving.json\n");
 

@@ -49,9 +49,9 @@ std::uint16_t saturate_leaves(std::uint64_t contributors) {
                                 : static_cast<std::uint16_t>(contributors);
 }
 
-// Block quantization itself (per-block scale + codes) is shared with the
-// serving engine's weight freezing — nn::block_quantize / nn::dequantize in
-// nn/quant.hpp.  Only the wire packing lives here.
+// Block quantization itself (per-block scale + codes) is
+// nn::block_quantize / nn::dequantize in nn/quant.hpp.  Only the wire
+// packing lives here.
 
 /// Append scales + packed codes (two-per-byte, low nibble first, for 4-bit).
 void write_quantized(Writer& w, const std::vector<float>& scales,

@@ -54,7 +54,7 @@ enum class CodecKind : std::uint8_t {
 };
 
 /// Values per quantization block; one fp32 scale is stored per block.
-/// (The grid itself lives in nn/quant.hpp, shared with the serving engine.)
+/// (The grid itself lives in nn/quant.hpp.)
 inline constexpr std::size_t kQuantBlock = nn::kQuantBlockSize;
 
 struct CodecConfig {

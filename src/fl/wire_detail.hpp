@@ -101,8 +101,8 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Symmetric quantization grid, shared with the serving engine's weight
-/// quantization (nn/quant.hpp): b bits store integers in [-qmax, qmax].
+/// Symmetric quantization grid (nn/quant.hpp): b bits store integers in
+/// [-qmax, qmax].
 using nn::quant_qmax;
 
 /// Wire bytes for `count` packed `bits`-wide values (4-bit values pack two

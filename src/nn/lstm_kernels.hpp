@@ -98,15 +98,12 @@ inline __m256 sigmoid_fast8(__m256 x) {
 /// c' = σ(f)·c + σ(i)·tanh(g) (one fused multiply-add), and
 /// h = σ(o)·tanh(c').  With kStore the activated gates overwrite z and
 /// tanh(c') goes to `ct` — the values BPTT reads; serving passes
-/// kStore = false and ct = nullptr.  With kTrackMax, returns max|h| over
-/// the row (the int8 serving tier's next activation scale); otherwise 0.
-template <bool kStore, bool kTrackMax = false>
-inline float lstm_cell_row(float* z, float* c, float* hs, float* ct,
-                           std::size_t h) {
-  float hmax = 0.0f;
+/// kStore = false and ct = nullptr.
+template <bool kStore>
+inline void lstm_cell_row(float* z, float* c, float* hs, float* ct,
+                          std::size_t h) {
   std::size_t k = 0;
 #if defined(__AVX2__) && defined(__FMA__)
-  __m256 hm = _mm256_setzero_ps();
   for (; k + 8 <= h; k += 8) {
     const __m256 gi = sigmoid_fast8(_mm256_loadu_ps(z + k));
     const __m256 gf = sigmoid_fast8(_mm256_loadu_ps(z + h + k));
@@ -125,14 +122,6 @@ inline float lstm_cell_row(float* z, float* c, float* hs, float* ct,
       _mm256_storeu_ps(z + 3 * h + k, go);
       _mm256_storeu_ps(ct + k, tc);
     }
-    if constexpr (kTrackMax) {
-      hm = _mm256_max_ps(hm, _mm256_andnot_ps(_mm256_set1_ps(-0.0f), hv));
-    }
-  }
-  if constexpr (kTrackMax) {
-    alignas(32) float tmp[8];
-    _mm256_store_ps(tmp, hm);
-    for (float v : tmp) hmax = std::max(hmax, v);
   }
 #endif
   for (; k < h; ++k) {
@@ -152,9 +141,7 @@ inline float lstm_cell_row(float* z, float* c, float* hs, float* ct,
       z[3 * h + k] = go;
       ct[k] = tc;
     }
-    if constexpr (kTrackMax) hmax = std::max(hmax, std::fabs(hv));
   }
-  return hmax;
 }
 
 }  // namespace evfl::nn

@@ -1,13 +1,9 @@
-// Block quantization shared by the wire codec (fl/codec) and the serving
-// engine (forecast/engine): values are grouped into fixed-size blocks of
-// kQuantBlock floats, each block carrying one fp32 scale (maxabs / qmax)
-// and signed integer codes.  An all-zero block gets scale 0 and zero
-// codes, so dequantization is exact there.
-//
-// The codec quantizes update deltas for the wire; the engine quantizes
-// frozen model weights for cache footprint and int8 arithmetic.  Both must
-// agree on the grid, so the helpers live here — fl/wire_detail.hpp
-// re-exports quant_qmax for the wire TUs.
+// Block quantization of the wire codec (fl/codec): values are grouped into
+// fixed-size blocks of kQuantBlockSize floats, each block carrying one fp32
+// scale (maxabs / qmax) and signed integer codes.  An all-zero block gets
+// scale 0 and zero codes, so dequantization is exact there.  The codec
+// quantizes update deltas and broadcast weights with these helpers, and
+// fl/wire_detail.hpp re-exports quant_qmax for the wire TUs.
 #pragma once
 
 #include <algorithm>
@@ -56,15 +52,6 @@ inline void block_quantize(const float* src, std::size_t count, int bits,
 /// Reconstruct one value from its code and its block's scale.
 inline float dequantize(std::int8_t code, float scale) {
   return static_cast<float>(code) * scale;
-}
-
-/// Dequantize `count` codes (scales indexed per kQuantBlockSize block) into
-/// `out`, which must hold `count` floats.
-inline void block_dequantize(const std::int8_t* quants, const float* scales,
-                             std::size_t count, float* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = dequantize(quants[i], scales[i / kQuantBlockSize]);
-  }
 }
 
 }  // namespace evfl::nn

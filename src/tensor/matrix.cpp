@@ -356,24 +356,35 @@ void row_block(const Gemm& g, std::size_t i0, std::size_t i1) {
   }
 }
 
+/// The 0–3 rows below the last whole 4-row group: 2 × 4W, then 1 × 4W,
+/// so even a lone row keeps four independent FMA chains in flight.
+template <typename L>
+void row_tail(const Gemm& g, std::size_t i, std::size_t i1) {
+  if (i + 2 <= i1) {
+    row_block<L, 2, 4>(g, i, i + 2);
+    i += 2;
+  }
+  if (i < i1) row_block<L, 1, 4>(g, i, i1);
+}
+
 void gemm_rows(const Gemm& g, std::size_t i0, std::size_t i1) {
   // Whole groups of four rows run 4 × 2W tiles at the target's widest
   // lanes (4 × 32 under AVX-512F) once B has 2W columns, and 4 × 16 below
-  // that.  The 0–3 rows left over stay on 8 lanes and run 32 columns wide
-  // (2 × 32, then 1 × 32), so even a lone row keeps four independent FMA
-  // chains in flight — batch-1 predict and the xᵀ·dZ gradient of a
-  // one-feature input are single rows.
-  std::size_t i = i0 + (i1 - i0) / 4 * 4;
+  // that.  The 0–3 rows left over run 2 × 4W and 1 × 4W tiles at the
+  // widest lanes (2 × 64, 1 × 64) once B has 4W columns, and 2 × 32,
+  // 1 × 32 on 8 lanes below that — batch-1 predict, the engine's last
+  // rows and the xᵀ·dZ gradient of a one-feature input are such rows.
+  const std::size_t i = i0 + (i1 - i0) / 4 * 4;
   if (g.n >= 2 * WideLanes::kWidth) {
     row_block<WideLanes, 4, 2>(g, i0, i);
   } else {
     row_block<Lanes8, 4, 2>(g, i0, i);
   }
-  if (i + 2 <= i1) {
-    row_block<Lanes8, 2, 4>(g, i, i + 2);
-    i += 2;
+  if (g.n >= 4 * WideLanes::kWidth) {
+    row_tail<WideLanes>(g, i, i1);
+  } else {
+    row_tail<Lanes8>(g, i, i1);
   }
-  if (i < i1) row_block<Lanes8, 1, 4>(g, i, i1);
 }
 
 #else

@@ -305,7 +305,8 @@ TEST(BlockedMatmul, EveryColumnTailMatchesNaive) {
   // tile widths, up to 4H at H = 25 and 50, each through all three
   // products, with non-zero C so the chain starts from C.  11 rows = two
   // 4-row tiles (16 lanes from n = 32 where the target has them), a 2-row
-  // and a 1-row block (always 8 lanes), each with its own column tiling.
+  // and a 1-row block (16 lanes from n = 64 where the target has them),
+  // each with its own column tiling.
   for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17, 25, 31, 32, 33, 47, 48,
                               63, 64, 65, 96, 100, 200}) {
     const Matrix a = random_sparse_matrix(11, 13, 40 + n);
