@@ -1,8 +1,10 @@
 // Microbench of the LSTM training fast path at the paper's forecaster shape
-// (batch 32, seq 24, hidden 64): step throughput plus *heap allocations per
-// step* — the metric the workspace/fused-kernel work drives to zero and the
-// perf-smoke CI job pins (allocation counts are deterministic; timings are
-// not).  Writes BENCH_kernels.json.
+// (batch 32, seq 24, hidden 64) and of one training step of the paper's
+// LSTM autoencoder (anomaly::LstmAutoencoder: LSTM 50 -> 25, RepeatVector,
+// 25 -> 50, both Dropout(0.2) layers, window 24): step throughput plus
+// *heap allocations per step* — the metric the workspace/fused-kernel work
+// drives to zero and the perf-smoke CI job pins (allocation counts are
+// deterministic; timings are not).  Writes BENCH_kernels.json.
 //
 //   bench_lstm_kernels                 # full run, prints + writes JSON
 //   bench_lstm_kernels --check-allocs  # short run; exit 1 if the steady
@@ -14,6 +16,7 @@
 #include <string>
 
 #include "alloc_counter.hpp"
+#include "anomaly/autoencoder.hpp"
 #include "data/csv.hpp"
 #include "metrics/timer.hpp"
 #include "obs/telemetry.hpp"
@@ -119,12 +122,38 @@ StepStats bench_train_step(std::size_t warmup, std::size_t iters,
   return stats;
 }
 
+/// One Trainer::train_batch of the paper's LSTM autoencoder on a batch of
+/// 32 windows: both Dropout layers draw masks, and BPTT runs the H = 25
+/// and H = 50 narrow products.
+StepStats bench_ae_train_step(std::size_t warmup, std::size_t iters,
+                              obs::Histogram* latency) {
+  Rng rng(3);
+  anomaly::AutoencoderConfig cfg;
+  cfg.window = kSeq;
+  anomaly::LstmAutoencoder ae(cfg, rng);
+  nn::MseLoss loss;
+  nn::Adam opt(cfg.learning_rate);
+  nn::Trainer trainer(ae.model(), loss, opt, rng);
+
+  Tensor3 x(kBatch, kSeq, 1);
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.uniform(0, 1);
+
+  const auto step = [&] {
+    const float l = trainer.train_batch(x, x);
+    if (!(l >= 0.0f)) std::abort();
+  };
+  const StepStats stats = measure(warmup, iters, step);
+  sample_latency(latency, step);
+  return stats;
+}
+
 void print_stats(const char* name, const StepStats& s) {
   std::printf("%-14s %10.1f steps/s   %8.1f allocs/step   %10.0f B/step\n",
               name, s.steps_per_sec, s.allocs_per_step, s.bytes_per_step);
 }
 
-void write_json(const StepStats& kernel, const StepStats& train) {
+void write_json(const StepStats& kernel, const StepStats& train,
+                const StepStats& ae) {
   std::ofstream out("BENCH_kernels.json");
   auto entry = [&](const char* name, const StepStats& s, const char* tail) {
     out << "  \"" << name << "\": {\"steps_per_sec\": " << s.steps_per_sec
@@ -132,10 +161,15 @@ void write_json(const StepStats& kernel, const StepStats& train) {
         << ", \"bytes_per_step\": " << s.bytes_per_step << "}" << tail
         << "\n";
   };
+  const anomaly::AutoencoderConfig ae_cfg;
   out << "{\n  \"config\": {\"batch\": " << kBatch << ", \"seq\": " << kSeq
-      << ", \"hidden\": " << kHidden << "},\n";
+      << ", \"hidden\": " << kHidden
+      << ", \"ae_units\": [" << ae_cfg.encoder_units << ", "
+      << ae_cfg.latent_units << "], \"ae_dropout\": " << ae_cfg.dropout
+      << "},\n";
   entry("lstm_fwd_bwd", kernel, ",");
-  entry("train_step", train, "");
+  entry("train_step", train, ",");
+  entry("ae_train_step", ae, "");
   out << "}\n";
 }
 
@@ -157,6 +191,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<evfl::obs::TraceWriter> trace;
   evfl::obs::Histogram* kernel_hist = nullptr;
   evfl::obs::Histogram* train_hist = nullptr;
+  evfl::obs::Histogram* ae_hist = nullptr;
   std::string trace_path, metrics_path;
   if (!check_allocs) {
     trace_path = evfl::data::artifact_path("kernels_trace.jsonl");
@@ -164,6 +199,7 @@ int main(int argc, char** argv) {
     trace = std::make_unique<evfl::obs::TraceWriter>(trace_path);
     kernel_hist = &registry.histogram("lstm_fwd_bwd_step_seconds");
     train_hist = &registry.histogram("train_step_seconds");
+    ae_hist = &registry.histogram("ae_train_step_seconds");
   }
 
   const std::uint64_t t0 = trace ? trace->now_us() : 0;
@@ -175,29 +211,39 @@ int main(int argc, char** argv) {
   const StepStats train = bench_train_step(warmup, iters, train_hist);
   if (trace) {
     trace->complete("bench.train_step", "bench", t1, trace->now_us() - t1);
+  }
+  const std::uint64_t t2 = trace ? trace->now_us() : 0;
+  const StepStats ae = bench_ae_train_step(warmup, iters, ae_hist);
+  if (trace) {
+    trace->complete("bench.ae_train_step", "bench", t2, trace->now_us() - t2);
     trace->counter("lstm_fwd_bwd.steps_per_sec", kernel.steps_per_sec);
     trace->counter("train_step.steps_per_sec", train.steps_per_sec);
+    trace->counter("ae_train_step.steps_per_sec", ae.steps_per_sec);
     trace->flush();
   }
   std::printf("=== LSTM kernel bench (batch %zu, seq %zu, hidden %zu) ===\n",
               kBatch, kSeq, kHidden);
   print_stats("lstm_fwd_bwd", kernel);
   print_stats("train_step", train);
+  print_stats("ae_train_step", ae);
 
   if (check_allocs) {
     // The deterministic regression gate: the steady-state training step
     // must not touch the heap at all.
-    if (kernel.allocs_per_step > 0.0 || train.allocs_per_step > 0.0) {
+    if (kernel.allocs_per_step > 0.0 || train.allocs_per_step > 0.0 ||
+        ae.allocs_per_step > 0.0) {
       std::printf("FAIL: steady-state heap allocations detected "
-                  "(lstm_fwd_bwd %.1f/step, train_step %.1f/step)\n",
-                  kernel.allocs_per_step, train.allocs_per_step);
+                  "(lstm_fwd_bwd %.1f/step, train_step %.1f/step, "
+                  "ae_train_step %.1f/step)\n",
+                  kernel.allocs_per_step, train.allocs_per_step,
+                  ae.allocs_per_step);
       return 1;
     }
     std::printf("OK: steady state is allocation-free\n");
     return 0;
   }
 
-  write_json(kernel, train);
+  write_json(kernel, train, ae);
   std::printf("wrote BENCH_kernels.json\n");
 
   {
@@ -206,13 +252,15 @@ int main(int argc, char** argv) {
     metrics << "\n";
   }
   std::printf("latency p50/p95/p99 (ms): lstm_fwd_bwd %.3f/%.3f/%.3f, "
-              "train_step %.3f/%.3f/%.3f\n",
+              "train_step %.3f/%.3f/%.3f, ae_train_step %.3f/%.3f/%.3f\n",
               kernel_hist->quantile(0.50) * 1e3,
               kernel_hist->quantile(0.95) * 1e3,
               kernel_hist->quantile(0.99) * 1e3,
               train_hist->quantile(0.50) * 1e3,
               train_hist->quantile(0.95) * 1e3,
-              train_hist->quantile(0.99) * 1e3);
+              train_hist->quantile(0.99) * 1e3,
+              ae_hist->quantile(0.50) * 1e3, ae_hist->quantile(0.95) * 1e3,
+              ae_hist->quantile(0.99) * 1e3);
   std::printf("trace: %s\nmetrics: %s\n", trace_path.c_str(),
               metrics_path.c_str());
   return 0;

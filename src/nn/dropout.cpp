@@ -12,12 +12,16 @@ Tensor3 Dropout::forward(const Tensor3& input, bool training) {
     return input;
   }
   const float scale = 1.0f / (1.0f - rate_);
-  mask_ = Tensor3(input.batch(), input.time(), input.features());
+  if (!mask_.same_shape(input)) {
+    mask_ = Tensor3(input.batch(), input.time(), input.features());
+  }
+  // One keep decision per element, in element order: each is what
+  // rng_->bernoulli(1 - rate) would have returned there.
+  rng_->bernoulli_select(1.0 - rate_, scale, 0.0f, mask_.data(),
+                         mask_.size());
   Tensor3 out = input;
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const float keep = rng_->bernoulli(1.0 - rate_) ? scale : 0.0f;
-    mask_.data()[i] = keep;
-    out.data()[i] *= keep;
+    out.data()[i] *= mask_.data()[i];
   }
   mask_valid_ = true;
   return out;

@@ -26,7 +26,8 @@ class Dropout : public Layer {
  private:
   float rate_;
   Rng* rng_;
-  Tensor3 mask_;        // scaled keep mask from last training forward
+  Tensor3 mask_;        // scaled keep mask from last training forward;
+                        // its storage is reused while the shape holds
   bool mask_valid_ = false;
 };
 

@@ -24,6 +24,50 @@ void transpose_into(const Matrix& src, Matrix& dst) {
   }
 }
 
+/// One row of an LSTM step's gate gradients, from the row's activated
+/// gates z = [i | f | g | o], c_prev, tanh(c) and dh:
+///   dc = dh·o·(1 − tanh²c) + dc_next
+///   dZ = [dc·g·i·(1 − i) | dc·c_prev·f·(1 − f) | dc·i·(1 − g²) |
+///         dh·tanh(c)·o·(1 − o)]
+/// and `dc` (dc_next on entry) leaves holding dc·f, the next step's
+/// dc_next.  The 8-wide lanes write each element's expression exactly as
+/// the scalar tail does, with the same operators in the same order, so the
+/// compiler fuses the same multiply-adds in both (a Release build contracts
+/// a·b + c into an FMA, a build without FMA cannot) and a column gets the
+/// same bits whether it lands in a lane group or in the tail.
+void lstm_grad_row(const float* z, const float* cp, const float* ct,
+                   const float* dh, float* dc, float* dz, std::size_t h) {
+  std::size_t k = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+  const __m256 one = _mm256_set1_ps(1.0f);
+  for (; k + 8 <= h; k += 8) {
+    const __m256 i = _mm256_loadu_ps(z + k);
+    const __m256 f = _mm256_loadu_ps(z + h + k);
+    const __m256 g = _mm256_loadu_ps(z + 2 * h + k);
+    const __m256 o = _mm256_loadu_ps(z + 3 * h + k);
+    const __m256 c = _mm256_loadu_ps(cp + k);
+    const __m256 t = _mm256_loadu_ps(ct + k);
+    const __m256 d = _mm256_loadu_ps(dh + k);
+    const __m256 dck = d * o * (one - t * t) + _mm256_loadu_ps(dc + k);
+    _mm256_storeu_ps(dz + k, dck * g * i * (one - i));
+    _mm256_storeu_ps(dz + h + k, dck * c * f * (one - f));
+    _mm256_storeu_ps(dz + 2 * h + k, dck * i * (one - g * g));
+    _mm256_storeu_ps(dz + 3 * h + k, d * t * o * (one - o));
+    _mm256_storeu_ps(dc + k, dck * f);
+  }
+#endif
+  for (; k < h; ++k) {
+    const float i = z[k], f = z[h + k], g = z[2 * h + k], o = z[3 * h + k];
+    const float t = ct[k];
+    const float dck = dh[k] * o * (1.0f - t * t) + dc[k];
+    dz[k] = dck * g * i * (1.0f - i);
+    dz[h + k] = dck * cp[k] * f * (1.0f - f);
+    dz[2 * h + k] = dck * i * (1.0f - g * g);
+    dz[3 * h + k] = dh[k] * t * o * (1.0f - o);
+    dc[k] = dck * f;
+  }
+}
+
 }  // namespace
 
 Lstm::Lstm(std::size_t units, bool return_sequences, Rng& rng,
@@ -125,7 +169,6 @@ Tensor3 Lstm::backward(const Tensor3& grad_output) {
 
   Tensor3 dx(n, t_len, cached_in_);
   ensure_shape(bwd_dh_, n, h);        // dh_t: dZ·Whᵀ from step t+1, + grads
-  ensure_shape(bwd_dc_, n, h);
   ensure_shape(bwd_dc_next_, n, h);   // dL/dc_t flowing from step t+1
   ensure_shape(bwd_dz_, n, 4 * h);
   ensure_shape(bwd_dx_step_, n, cached_in_);
@@ -152,39 +195,11 @@ Tensor3 Lstm::backward(const Tensor3& grad_output) {
       }
     }
 
-    // dc = dh ⊙ o ⊙ (1 - tanh(c)^2) + dc_next
+    // dc and the gate pre-activation gradients, written straight into the
+    // fused dZ [N, 4H] blocks; bwd_dc_next_ turns into dc ⊙ f on the way.
     for (std::size_t r = 0; r < n; ++r) {
-      const float* zo = sc.z.row(r) + 3 * h;
-      const float* ct = sc.c_tanh.row(r);
-      const float* dhp = bwd_dh_.row(r);
-      const float* dcn = bwd_dc_next_.row(r);
-      float* dcp = bwd_dc_.row(r);
-      for (std::size_t c = 0; c < h; ++c) {
-        const float t = ct[c];
-        dcp[c] = dhp[c] * zo[c] * (1.0f - t * t) + dcn[c];
-      }
-    }
-
-    // Gate pre-activation gradients, written straight into the fused
-    // dZ [N, 4H] blocks — no per-gate temporaries.
-    for (std::size_t r = 0; r < n; ++r) {
-      const float* zi = sc.z.row(r);
-      const float* zf = zi + h;
-      const float* zg = zi + 2 * h;
-      const float* zo = zi + 3 * h;
-      const float* cp = sc.c_prev.row(r);
-      const float* ct = sc.c_tanh.row(r);
-      const float* dhp = bwd_dh_.row(r);
-      const float* dcp = bwd_dc_.row(r);
-      float* dzrow = bwd_dz_.row(r);
-      for (std::size_t c = 0; c < h; ++c) {
-        const float i = zi[c], f = zf[c], g = zg[c], o = zo[c];
-        const float dci = dcp[c];
-        dzrow[c] = dci * g * i * (1.0f - i);
-        dzrow[h + c] = dci * cp[c] * f * (1.0f - f);
-        dzrow[2 * h + c] = dci * i * (1.0f - g * g);
-        dzrow[3 * h + c] = dhp[c] * ct[c] * o * (1.0f - o);
-      }
+      lstm_grad_row(sc.z.row(r), sc.c_prev.row(r), sc.c_tanh.row(r),
+                    bwd_dh_.row(r), bwd_dc_next_.row(r), bwd_dz_.row(r), h);
     }
 
     matmul_tn_acc(sc.x, bwd_dz_, gwx_);       // gWx += xᵀ · dZ
@@ -198,14 +213,6 @@ Tensor3 Lstm::backward(const Tensor3& grad_output) {
 
     bwd_dh_.set_zero();
     matmul_acc(bwd_dz_, bwd_wht_, bwd_dh_);  // dh_prev = dZ · Whᵀ
-
-    // dc_prev = dc ⊙ f
-    for (std::size_t r = 0; r < n; ++r) {
-      const float* zf = sc.z.row(r) + h;
-      const float* dcp = bwd_dc_.row(r);
-      float* dcn = bwd_dc_next_.row(r);
-      for (std::size_t c = 0; c < h; ++c) dcn[c] = dcp[c] * zf[c];
-    }
   }
   return dx;
 }

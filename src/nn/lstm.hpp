@@ -70,7 +70,7 @@ class Lstm : public Layer {
   // Forward state + backward scratch, reused across calls so the steady
   // state allocates nothing.
   Matrix h_state_, c_state_;              // [N, H]
-  Matrix bwd_dh_, bwd_dc_, bwd_dc_next_;  // [N, H]
+  Matrix bwd_dh_, bwd_dc_next_;           // [N, H]
   Matrix bwd_dz_;                         // [N, 4H]
   Matrix bwd_dx_step_;                    // [N, in]
   Matrix bwd_col_sums_;                   // [1, 4H]

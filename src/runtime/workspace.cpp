@@ -1,6 +1,7 @@
 #include "runtime/workspace.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 namespace evfl::runtime {
@@ -26,13 +27,21 @@ float* Workspace::borrow(std::size_t n) {
     const std::size_t last_cap = blocks_.empty() ? 0 : blocks_.back().cap;
     const std::size_t cap =
         std::max({need, 2 * last_cap, kMinBlockFloats});
-    blocks_.push_back(Block{std::make_unique<float[]>(cap), cap});
+    // new[] promises only 16 bytes, so the block is carved from one
+    // allocation a line larger, starting at its first 64-byte line: every
+    // lane then starts on a line.
+    Block block{std::make_unique<float[]>(cap + kAlignFloats), nullptr, cap};
+    const std::size_t skew =
+        reinterpret_cast<std::uintptr_t>(block.storage.get()) %
+        (kAlignFloats * sizeof(float)) / sizeof(float);
+    block.data = block.storage.get() + (skew == 0 ? 0 : kAlignFloats - skew);
+    blocks_.push_back(std::move(block));
     block_ = blocks_.size() - 1;
     offset_ = 0;
     break;
   }
 
-  float* p = blocks_[block_].data.get() + offset_;
+  float* p = blocks_[block_].data + offset_;
   offset_ += need;
 
   std::size_t in_use = offset_;

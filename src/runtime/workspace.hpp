@@ -34,8 +34,8 @@ class Workspace {
   Workspace& operator=(const Workspace&) = delete;
 
   /// Borrow `n` floats of uninitialized scratch.  Requests round up to
-  /// 16-float (64-byte) lanes, so consecutive borrows never share a
-  /// cache line.
+  /// 16-float (64-byte) lanes, and every lane starts on a cache line, so
+  /// consecutive borrows never share one.
   float* borrow(std::size_t n);
   /// Borrow `n` floats and zero them.
   float* borrow_zeroed(std::size_t n);
@@ -60,7 +60,8 @@ class Workspace {
 
  private:
   struct Block {
-    std::unique_ptr<float[]> data;
+    std::unique_ptr<float[]> storage;  // cap floats plus one line of slack
+    float* data = nullptr;             // first 64-byte line in storage
     std::size_t cap = 0;
   };
 

@@ -339,10 +339,32 @@ void tile_column(const Gemm& g, std::size_t i0, std::size_t i1,
   }
 }
 
+/// Columns [j, n), at most W·kVecs of them, as one tile of ⌈(n − j)/W⌉
+/// vectors whose last vector is masked only when it is partial.  One tile
+/// keeps that many FMA chains in flight per A broadcast, where a vector
+/// at a time would wait on each chain's latency.
+template <typename L, int kRows, int kVecs>
+void rest_column(const Gemm& g, std::size_t i0, std::size_t i1,
+                 std::size_t j) {
+  constexpr std::size_t w = L::kWidth;
+  const std::size_t rest = g.n - j;
+  if constexpr (kVecs > 1) {
+    if (rest <= w * (kVecs - 1)) {
+      rest_column<L, kRows, kVecs - 1>(g, i0, i1, j);
+      return;
+    }
+  }
+  if (rest % w == 0) {
+    tile_column<L, kRows, kVecs>(g, i0, i1, j);
+  } else {
+    tile_column<L, kRows, kVecs, true>(g, i0, i1, j, L::first(rest % w));
+  }
+}
+
 /// Rows [i0, i1), a whole number of kRows-row tiles, over every column.
 /// Column blocks are outermost, so a k × W·kVecs panel of B stays
 /// L1-resident while the row tiles stream past it; the leftover columns
-/// go one vector at a time, the last < W of them masked.
+/// are one narrower tile (rest_column).
 template <typename L, int kRows, int kVecs>
 void row_block(const Gemm& g, std::size_t i0, std::size_t i1) {
   constexpr std::size_t w = L::kWidth;
@@ -350,10 +372,7 @@ void row_block(const Gemm& g, std::size_t i0, std::size_t i1) {
   for (; j + w * kVecs <= g.n; j += w * kVecs) {
     tile_column<L, kRows, kVecs>(g, i0, i1, j);
   }
-  for (; j + w <= g.n; j += w) tile_column<L, kRows, 1>(g, i0, i1, j);
-  if (j < g.n) {
-    tile_column<L, kRows, 1, true>(g, i0, i1, j, L::first(g.n - j));
-  }
+  if (j < g.n) rest_column<L, kRows, kVecs>(g, i0, i1, j);
 }
 
 /// The 0–3 rows below the last whole 4-row group: 2 × 4W, then 1 × 4W,
@@ -369,13 +388,13 @@ void row_tail(const Gemm& g, std::size_t i, std::size_t i1) {
 
 void gemm_rows(const Gemm& g, std::size_t i0, std::size_t i1) {
   // Whole groups of four rows run 4 × 2W tiles at the target's widest
-  // lanes (4 × 32 under AVX-512F) once B has 2W columns, and 4 × 16 below
-  // that.  The 0–3 rows left over run 2 × 4W and 1 × 4W tiles at the
-  // widest lanes (2 × 64, 1 × 64) once B has 4W columns, and 2 × 32,
-  // 1 × 32 on 8 lanes below that — batch-1 predict, the engine's last
-  // rows and the xᵀ·dZ gradient of a one-feature input are such rows.
+  // lanes (4 × 32 under AVX-512F) once B has more than W columns, and
+  // 4 × 16 below that.  The 0–3 rows left over run 2 × 4W and 1 × 4W
+  // tiles at the widest lanes (2 × 64, 1 × 64) once B has 4W columns, and
+  // 2 × 32, 1 × 32 on 8 lanes below that — batch-1 predict, the engine's
+  // last rows and the xᵀ·dZ gradient of a one-feature input are such rows.
   const std::size_t i = i0 + (i1 - i0) / 4 * 4;
-  if (g.n >= 2 * WideLanes::kWidth) {
+  if (g.n > WideLanes::kWidth) {
     row_block<WideLanes, 4, 2>(g, i0, i);
   } else {
     row_block<Lanes8, 4, 2>(g, i0, i);

@@ -21,6 +21,12 @@ class Rng {
   std::size_t index(std::size_t n);
   /// Bernoulli with probability p of true.
   bool bernoulli(double p);
+  /// out[i] = bernoulli(p) ? on : off for i in [0, n): the same decisions
+  /// from the same n draws as n calls of bernoulli(p), made by comparing
+  /// each draw with one threshold so the compare and select vectorize.
+  /// p must lie in [0, 1].
+  void bernoulli_select(double p, float on, float off, float* out,
+                        std::size_t n);
   /// Log-uniform in [lo, hi] — multiplier sampling for attack bursts.
   float log_uniform(float lo, float hi);
 

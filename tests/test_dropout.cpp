@@ -63,6 +63,31 @@ TEST(Dropout, ExpectationPreserved) {
   EXPECT_NEAR(y.sum() / static_cast<float>(y.size()), 1.0f, 0.05f);
 }
 
+TEST(Dropout, MaskMatchesPerElementBernoulli) {
+  // The layer draws its keep decisions in blocks and compares each draw
+  // with one threshold; that must be exactly one Rng::bernoulli(1 - rate)
+  // per element, in element order, consuming the same draws.  The
+  // equivalence rests on how the standard library turns a draw into a
+  // bernoulli_distribution decision, so this fails on a library that
+  // computes it differently.  429 elements = 6 whole 64-draw blocks plus
+  // 45, and the second forward reuses the mask's storage.
+  for (const float rate : {0.2f, 0.25f, 0.5f, 1e-7f, 0.9999f}) {
+    Rng rng(11), ref(11);
+    Dropout layer(rate, rng);
+    const float scale = 1.0f / (1.0f - rate);
+    for (int call = 0; call < 2; ++call) {
+      const Tensor3 y = layer.forward(ones(13, 11, 3), true);
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        const float want = ref.bernoulli(1.0 - layer.rate()) ? scale : 0.0f;
+        ASSERT_EQ(y.data()[i], want)
+            << "rate " << rate << " call " << call << " element " << i;
+      }
+      EXPECT_EQ(rng.engine()(), ref.engine()())
+          << "rate " << rate << " call " << call;
+    }
+  }
+}
+
 TEST(Dropout, BackwardUsesSameMask) {
   Rng rng(6);
   Dropout layer(0.5f, rng);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/pipeline.hpp"
@@ -176,16 +177,27 @@ TEST(Workspace, PointersSurviveBlockGrowth) {
 }
 
 TEST(Workspace, BorrowsAreAlignedAndHighWaterTracksPeak) {
+  const auto line_offset = [](const float* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % 64;
+  };
   Workspace ws;
   float* a = ws.borrow(1);
   float* b = ws.borrow(1);
   // Requests round up to 16-float (64-byte) lanes, so consecutive borrows
-  // never share a cache line.
+  // never share a cache line, and every lane starts on one.
   EXPECT_EQ(b - a, 16);
+  EXPECT_EQ(line_offset(a), 0u);
+  EXPECT_EQ(line_offset(b), 0u);
+  // Borrows larger than the first block make new blocks; they start on a
+  // line too, and so do the lanes after them.
+  for (const std::size_t n : {std::size_t{70000}, std::size_t{3},
+                              std::size_t{300000}, std::size_t{17}}) {
+    EXPECT_EQ(line_offset(ws.borrow(n)), 0u) << n << " floats";
+  }
   const std::size_t peak = ws.high_water_floats();
   EXPECT_GE(peak, 2u);
   ws.reset();
-  ws.borrow(1);
+  EXPECT_EQ(line_offset(ws.borrow(1)), 0u);
   EXPECT_EQ(ws.high_water_floats(), peak);  // high water never rewinds
 }
 
@@ -304,11 +316,17 @@ TEST(BlockedMatmul, EveryColumnTailMatchesNaive) {
   // Column counts around the 8-, 16-, 32- and 64-lane boundaries of both
   // tile widths, up to 4H at H = 25 and 50, each through all three
   // products, with non-zero C so the chain starts from C.  11 rows = two
-  // 4-row tiles (16 lanes from n = 32 where the target has them), a 2-row
+  // 4-row tiles (16 lanes from n = 17 where the target has them), a 2-row
   // and a 1-row block (16 lanes from n = 64 where the target has them),
-  // each with its own column tiling.
-  for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17, 25, 31, 32, 33, 47, 48,
-                              63, 64, 65, 96, 100, 200}) {
+  // each with its own column tiling.  The columns after the full tiles
+  // are one tile of 1-4 vectors, the last masked when partial; this list
+  // reaches every (lanes, rows, vectors, masked) tile of both the AVX-512
+  // and the AVX2-only build, e.g. the 2-, 3- and 4-vector masked ones at
+  // n = 25, 31, 63, 90, 100 and 120 and the 3-vector unmasked ones at 24
+  // and 112.
+  for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17, 24, 25, 31, 32, 33, 47,
+                              48, 63, 64, 65, 80, 90, 96, 100, 112, 120,
+                              200}) {
     const Matrix a = random_sparse_matrix(11, 13, 40 + n);
     const Matrix b = random_sparse_matrix(13, n, 50 + n);
     const Matrix at = random_sparse_matrix(13, 11, 60 + n);
@@ -504,9 +522,12 @@ class ReferenceLstm {
   std::vector<Step> cache_;
 };
 
-TEST(LstmBitIdentity, FusedPathMatchesSeedAlgorithmOverTrainingSteps) {
-  // batch 70 crosses the 64-row tile bound, 4h = 160 the 128-column bound.
-  const std::size_t units = 40, in = 3, n = 70, t = 5;
+/// Forward, BPTT and three Adam steps of nn::Lstm against ReferenceLstm at
+/// one shape, every output, gradient and weight compared bit for bit.
+void expect_lstm_matches_reference(std::size_t units, std::size_t in) {
+  SCOPED_TRACE("units " + std::to_string(units) + ", input " +
+               std::to_string(in));
+  const std::size_t n = 70, t = 5;
   Rng rng_new(42), rng_ref(42);
   nn::Lstm lstm(units, /*return_sequences=*/false, rng_new, in);
   ReferenceLstm ref(units, rng_ref, in);
@@ -549,6 +570,16 @@ TEST(LstmBitIdentity, FusedPathMatchesSeedAlgorithmOverTrainingSteps) {
           << p_new[p].name << " weights diverged at step " << step;
     }
   }
+}
+
+TEST(LstmBitIdentity, FusedPathMatchesSeedAlgorithmOverTrainingSteps) {
+  // Batch 70 = 17 four-row tiles and a 2-row tail.  Units 40, input 3:
+  // 4H = 160 columns, gate gradients in five whole 8-lane groups.  The
+  // autoencoder's last LSTM (units 50, input 25): the gate-gradient
+  // kernel's scalar tail runs (50 = 6·8 + 2), dZ·Wxᵀ and dZ·Whᵀ run the
+  // masked multi-vector tiles at 25 and 50 columns, and xᵀ·dZ has 25 rows.
+  expect_lstm_matches_reference(40, 3);
+  expect_lstm_matches_reference(50, 25);
 }
 
 TEST(LstmBitIdentity, BatchRowMatchesRowForwardedAlone) {
