@@ -1,7 +1,7 @@
 // Attack war game: throw every implemented attack vector at a defended
-// charging zone and watch the detector + mitigation respond, then run a
-// federated round over a lossy network with concurrent (threaded) clients —
-// the resilience story of §III-G in one executable.
+// charging zone and watch the detector + mitigation respond, then run
+// federated rounds over a lossy network — the resilience story of §III-G in
+// one executable.
 //
 //   ./attack_war_game
 #include <iostream>
@@ -102,7 +102,7 @@ int main() {
 
   fl::RoundPolicy policy;
   policy.round_deadline_ms = 60'000.0;
-  fl::ThreadedDriver driver(server, clients, net, nullptr, nullptr, policy);
+  fl::SyncDriver driver(server, clients, net, nullptr, nullptr, policy);
   const fl::FederatedRunResult run = driver.run(4);
   for (const fl::RoundMetrics& r : run.rounds) {
     std::cout << "  round " << r.round << ": " << r.updates_received

@@ -75,8 +75,6 @@ void apply_cli_overrides(ExperimentConfig& cfg, int argc, char** argv) {
       cfg.filter.gap_tolerance = parse_unsigned(key, value);
     } else if (key == "--train-fraction") {
       cfg.train_fraction = parse_double(key, value);
-    } else if (key == "--threaded") {
-      cfg.threaded = parse_unsigned(key, value) != 0;
     } else if (key == "--ae-epochs") {
       cfg.filter.autoencoder.max_epochs = parse_unsigned(key, value);
     } else if (key == "--damping") {

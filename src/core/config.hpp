@@ -34,7 +34,6 @@ struct ExperimentConfig {
   std::size_t epochs_per_round = 10;       // EPOCHS_PER_ROUND
   double train_fraction = 0.8;             // 80/20 temporal split
   std::uint64_t seed = 42;
-  bool threaded = false;                   // ThreadedDriver instead of Sync
 
   /// Fleet-scale topology: 0 keeps the paper's flat 3-zone federation;
   /// N > 0 runs a generated population of N clients behind `fleet_edges`
@@ -91,7 +90,7 @@ struct ExperimentConfig {
 /// Apply "--key value" overrides.  Known keys:
 ///   --seed N  --rounds N  --epochs N  --hours N  --lstm-units N
 ///   --seq-len N  --bursts N  --threshold-pct X  --gap-tolerance N
-///   --train-fraction X  --threaded 0|1  --ae-epochs N  --damping X
+///   --train-fraction X  --ae-epochs N  --damping X
 ///   --threads N (0 = hardware_concurrency)
 ///   --cache-dir PATH  --trace-out FILE  --metrics-json FILE
 ///   --codec dense|delta|topk|topk_q  --topk-frac X  --quant-bits 4|8

@@ -121,18 +121,9 @@ ScenarioResult ScenarioRunner::run_federated(DataScenario scenario) {
                          static_cast<std::uint64_t>(cfg_.federated_rounds));
   scenario_span.annotate("clients",
                          static_cast<std::uint64_t>(fl_clients.size()));
-  std::unique_ptr<fl::Driver> driver;
-  if (cfg_.threaded) {
-    driver = std::make_unique<fl::ThreadedDriver>(server, fl_clients, net,
-                                                  &ctx_, nullptr,
-                                                  fl::RoundPolicy{}, &rounds_,
-                                                  adv);
-  } else {
-    driver = std::make_unique<fl::SyncDriver>(server, fl_clients, net, &ctx_,
-                                              nullptr, fl::RoundPolicy{},
-                                              &rounds_, adv);
-  }
-  const fl::FederatedRunResult run = driver->run(cfg_.federated_rounds);
+  fl::SyncDriver driver(server, fl_clients, net, &ctx_, nullptr,
+                        fl::RoundPolicy{}, &rounds_, adv);
+  const fl::FederatedRunResult run = driver.run(cfg_.federated_rounds);
   scenario_span.end();
 
   ScenarioResult result;

@@ -8,7 +8,8 @@
 // reproducibility acceptance tests rely on.
 //
 // Stats are the one piece of mutable state; they are mutex-protected because
-// the ThreadedDriver consults the injector from concurrent client threads.
+// pool workers (SyncDriver on a pool, FleetDriver's edge workers) consult the
+// injector concurrently.
 // Drivers consult each decision once per (client, round) so counters equal
 // injected-fault counts.
 #pragma once

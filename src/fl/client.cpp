@@ -1,35 +1,8 @@
 #include "fl/client.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
 #include "metrics/timer.hpp"
 
 namespace evfl::fl {
-
-namespace {
-
-/// Budget-bounded retry-with-backoff receive: waits ramp geometrically to
-/// the per-attempt ceiling and then keep retrying at that ceiling until the
-/// full `opts.receive_timeout_ms` budget is spent.  The budget — not the
-/// backoff ramp — decides when the client gives up, so a server that
-/// legitimately holds a round open until its deadline is waited out rather
-/// than abandoned.
-std::optional<Message> receive_with_backoff(InMemoryNetwork& net, int node,
-                                            const ServeOptions& opts) {
-  double budget_ms = opts.receive_timeout_ms;
-  for (std::size_t attempt = 0; budget_ms > 0.0; ++attempt) {
-    const double wait =
-        std::min(runtime::backoff_wait_ms(opts.backoff, attempt), budget_ms);
-    if (wait <= 0.0) break;
-    if (std::optional<Message> msg = net.receive(node, wait)) return msg;
-    budget_ms -= wait;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 Client::Client(int id, tensor::Tensor3 x_train, tensor::Tensor3 y_train,
                const ModelFactory& factory, ClientConfig cfg, tensor::Rng rng)
@@ -56,7 +29,7 @@ WeightUpdate Client::train_round(const GlobalModel& global) {
   fit.epochs = cfg_.epochs_per_round;
   fit.batch_size = cfg_.batch_size;
   const nn::FitHistory hist = trainer.fit(x_, y_, fit);
-  last_train_seconds_.store(timer.seconds(), std::memory_order_relaxed);
+  last_train_seconds_ = timer.seconds();
 
   WeightUpdate update;
   update.client_id = id_;
@@ -90,18 +63,12 @@ StepResult Client::participate(const GlobalModel& global,
     opts.adversary->poison_update(update, global.weights);
   }
 
-  out.seconds = last_train_seconds();
+  out.seconds = last_train_seconds_;
   if (faults != nullptr) {
-    const double delay_ms = faults->straggler_delay_ms(id_, global.round);
-    if (!opts.real_time) {
-      out.seconds += delay_ms / 1e3;
-    } else if (delay_ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(delay_ms));
-    }
+    out.seconds += faults->straggler_delay_ms(id_, global.round) / 1e3;
   }
-  if (!opts.real_time && (opts.round_deadline_ms <= 0.0 ||
-                          out.seconds * 1e3 > opts.round_deadline_ms)) {
+  if (opts.round_deadline_ms <= 0.0 ||
+      out.seconds * 1e3 > opts.round_deadline_ms) {
     return out;  // missed the round deadline: the update never ships
   }
 
@@ -123,25 +90,6 @@ StepResult Client::participate(const GlobalModel& global,
     previous_upload_ = wire_buf_;
   }
   return out;
-}
-
-void Client::serve(InMemoryNetwork& net, std::size_t rounds,
-                   ServeOptions opts) {
-  const StepOptions step{opts.injector, opts.trace, opts.adversary, 0.0,
-                         /*real_time=*/true};
-  for (std::size_t r = 0; r < rounds; ++r) {
-    std::optional<Message> msg = receive_with_backoff(net, id_, opts);
-    if (!msg) return;  // retry budget exhausted: server went away
-    deserialize_global_into(msg->payload(), global_scratch_);
-    if (global_scratch_.round == kShutdownRound) return;  // server finished
-
-    StepResult out = participate(global_scratch_, step);
-    if (out.upload == nullptr) return;  // in real time, only a crash
-    if (!out.stale.empty()) {
-      net.send(Message{id_, kServerNode, std::move(out.stale)});
-    }
-    net.send(Message{id_, kServerNode, *out.upload});
-  }
 }
 
 }  // namespace evfl::fl

@@ -110,7 +110,7 @@ Driver::Driver(Aggregator& root, RoundPolicy policy,
 
 StepOptions Driver::step_options() const {
   return StepOptions{injector_, ctx_->trace, adversary_,
-                     policy_.round_deadline_ms, /*real_time=*/false};
+                     policy_.round_deadline_ms};
 }
 
 void Driver::add_audit(RoundAudit& into, const RoundAudit& from) {
@@ -134,7 +134,6 @@ FederatedRunResult Driver::run(std::size_t rounds) {
   result.rounds.reserve(rounds);
   NetworkStats tally;
 
-  begin_run(rounds);
   for (std::size_t r = 0; r < rounds; ++r) {
     const Clock::time_point round_t0 = Clock::now();
     const std::uint32_t round = root_->round();
@@ -217,7 +216,6 @@ FederatedRunResult Driver::run(std::size_t rounds) {
     result.simulated_parallel_seconds += rm.max_client_seconds;
     result.rounds.push_back(rm);
   }
-  end_run();
 
   result.final_weights = root_->weights();
   result.network = traffic(tally);
@@ -225,12 +223,12 @@ FederatedRunResult Driver::run(std::size_t rounds) {
   // The TraceWriter only flushes on its own buffering cadence and at
   // destruction; a caller that inspects the trace file right after run()
   // (or aborts before the writer's destructor) would miss the last rounds'
-  // spans — the threaded workers' included — without a teardown flush.
+  // spans without a teardown flush.
   if (trace != nullptr) trace->flush();
   return result;
 }
 
-FlatDriver::FlatDriver(Server& server,
+SyncDriver::SyncDriver(Server& server,
                        std::vector<std::unique_ptr<Client>>& clients,
                        InMemoryNetwork& net, const runtime::RunContext* ctx,
                        const faults::FaultInjector* injector,
@@ -245,14 +243,16 @@ FlatDriver::FlatDriver(Server& server,
   if (injector != nullptr) net.set_fault_injector(injector);
 }
 
-NetworkStats FlatDriver::traffic(const NetworkStats& /*tally*/) const {
+NetworkStats SyncDriver::traffic(const NetworkStats& /*tally*/) const {
   return net_->stats();
 }
 
-const std::vector<std::uint8_t>& FlatDriver::broadcast(
-    const std::vector<std::size_t>& cohort, Exchange& ex) {
-  // One wire encoding per round (codec-aware); every recipient's mailbox
-  // references the same refcounted payload.
+Driver::Exchange SyncDriver::exchange(std::uint32_t round,
+                                      const std::vector<std::size_t>& cohort) {
+  Exchange ex;
+  // One wire encoding per round (codec-aware), delivered to the whole cohort
+  // in one call (drop decisions drawn in cohort order); every recipient's
+  // mailbox references the same refcounted payload.
   const std::vector<std::uint8_t>& wire = root_->broadcast_wire();
   std::vector<int> to;
   to.reserve(cohort.size());
@@ -261,52 +261,10 @@ const std::vector<std::uint8_t>& FlatDriver::broadcast(
   ex.dropped = cohort.size() - ex.reached;
   ex.messages_down = ex.reached;
   ex.bytes_down = static_cast<std::uint64_t>(ex.reached) * wire.size();
-  return wire;
-}
 
-bool FlatDriver::take(const Message& msg, Exchange& ex,
-                      std::vector<WeightUpdate>& raw) const {
-  ex.bytes_up += msg.payload().size();
-  ++ex.messages_up;
-  WeightUpdate u = deserialize_update(msg.payload());
-  if (known_.count(u.client_id) == 0) {
-    ++ex.dropped;  // update from an unknown sender: skip it
-    return false;
-  }
-  raw.push_back(std::move(u));
-  return true;
-}
-
-void FlatDriver::offer(std::uint32_t round, std::vector<WeightUpdate> raw,
-                       Exchange& ex) {
-  // The mean loss is a health signal over every arrival, corrupted or stale
-  // ones included.  Only a current-round update counts as a contribution: a
-  // stale replay's sender still timed out on this round.
-  double loss = 0.0;
-  std::unordered_set<int> fresh;
-  for (const WeightUpdate& u : raw) {
-    loss += u.train_loss;
-    if (u.round == round) fresh.insert(u.client_id);
-  }
-  ex.mean_train_loss =
-      raw.empty() ? 0.0f : static_cast<float>(loss / raw.size());
-  ex.fresh = fresh.size();
-  // Deterministic aggregation order whatever the arrival schedule: stable
-  // sort by client id (duplicates stay adjacent, first arrival first).  The
-  // validator, not the driver, judges what is aggregatable.
-  std::stable_sort(raw.begin(), raw.end(),
-                   [](const WeightUpdate& a, const WeightUpdate& b) {
-                     return a.client_id < b.client_id;
-                   });
-  for (WeightUpdate& u : raw) root_->offer(std::move(u));
-}
-
-Driver::Exchange SyncDriver::exchange(std::uint32_t round,
-                                      const std::vector<std::size_t>& cohort) {
-  Exchange ex;
   // Every delivery carries these same bytes, so one decode serves the
   // cohort; a client runs only if its mailbox holds the broadcast.
-  const GlobalModel global = deserialize_global(broadcast(cohort, ex));
+  const GlobalModel global = deserialize_global(wire);
   std::vector<StepResult> out(cohort.size());
   const StepOptions step = step_options();
   ctx_->parallel_for(cohort.size(), 1, [&](std::size_t begin, std::size_t end) {
@@ -333,76 +291,42 @@ Driver::Exchange SyncDriver::exchange(std::uint32_t round,
     }
   }
 
+  // Decode every arrival at the server node; an update from an unknown
+  // sender is skipped and counted as dropped.
   std::vector<WeightUpdate> raw;
   raw.reserve(cohort.size());
   while (std::optional<Message> up = net_->try_receive(kServerNode)) {
-    take(*up, ex, raw);
-  }
-  offer(round, std::move(raw), ex);
-  return ex;
-}
-
-void ThreadedDriver::begin_run(std::size_t rounds) {
-  ServeOptions opts;
-  opts.injector = injector_;
-  opts.trace = ctx_->trace;
-  opts.adversary = adversary_;
-  // A server that holds a round open until its deadline is healthy: clients
-  // must out-wait the deadline (plus slack for aggregation) before deciding
-  // the server is gone, or every long round ends the fleet.
-  opts.receive_timeout_ms =
-      std::max(opts.receive_timeout_ms, policy_.round_deadline_ms * 1.25);
-  workers_.reserve(clients_->size());
-  for (auto& client : *clients_) {
-    workers_.emplace_back([&client, this, rounds, opts] {
-      client->serve(*net_, rounds, opts);
-    });
-  }
-}
-
-Driver::Exchange ThreadedDriver::exchange(
-    std::uint32_t round, const std::vector<std::size_t>& cohort) {
-  const Clock::time_point t0 = Clock::now();
-  Exchange ex;
-  broadcast(cohort, ex);
-
-  // Collect until the hard deadline, or earlier once every delivered
-  // broadcast has produced a current-round update.  Stale and duplicate
-  // arrivals are kept for the validator to count and reject.
-  std::vector<WeightUpdate> raw;
-  std::unordered_set<int> fresh;
-  while (fresh.size() < ex.reached) {
-    const double remaining =
-        policy_.round_deadline_ms - seconds_since(t0) * 1000.0;
-    if (remaining <= 0.0) break;
-    std::optional<Message> msg = net_->receive(kServerNode, remaining);
-    if (!msg) break;
-    if (take(*msg, ex, raw) && raw.back().round == round) {
-      fresh.insert(raw.back().client_id);
+    ex.bytes_up += up->payload().size();
+    ++ex.messages_up;
+    WeightUpdate u = deserialize_update(up->payload());
+    if (known_.count(u.client_id) == 0) {
+      ++ex.dropped;
+      continue;
     }
+    raw.push_back(std::move(u));
   }
 
-  // Train seconds sampled at round close: a client that did not finish this
-  // round still reports its previous one, so this is a best-effort snapshot.
-  for (const std::size_t c : cohort) {
-    ex.client_seconds.push_back((*clients_)[c]->last_train_seconds());
+  // The mean loss is a health signal over every arrival, corrupted or stale
+  // ones included.  Only a current-round update counts as a contribution: a
+  // stale replay's sender still timed out on this round.
+  double loss = 0.0;
+  std::unordered_set<int> fresh;
+  for (const WeightUpdate& u : raw) {
+    loss += u.train_loss;
+    if (u.round == round) fresh.insert(u.client_id);
   }
-  offer(round, std::move(raw), ex);
+  ex.mean_train_loss =
+      raw.empty() ? 0.0f : static_cast<float>(loss / raw.size());
+  ex.fresh = fresh.size();
+  // Deterministic aggregation order whatever the arrival schedule: stable
+  // sort by client id (duplicates stay adjacent, first arrival first).  The
+  // validator, not the driver, judges what is aggregatable.
+  std::stable_sort(raw.begin(), raw.end(),
+                   [](const WeightUpdate& a, const WeightUpdate& b) {
+                     return a.client_id < b.client_id;
+                   });
+  for (WeightUpdate& u : raw) root_->offer(std::move(u));
   return ex;
-}
-
-void ThreadedDriver::end_run() {
-  // Release clients still waiting on a broadcast (theirs was dropped, or
-  // they lag the server after missed rounds): a control-plane shutdown the
-  // lossy simulation never drops, so join() is prompt instead of costing a
-  // full receive budget per straggling client.
-  const std::vector<std::uint8_t> bye =
-      serialize(GlobalModel{kShutdownRound, {}});
-  for (auto& client : *clients_) {
-    net_->send_control(Message{kServerNode, client->id(), bye});
-  }
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
 }
 
 }  // namespace evfl::fl

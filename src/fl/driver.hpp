@@ -1,10 +1,11 @@
 // Federated-round orchestration.  Driver::run is the one round loop: each
 // round it samples the cohort, opens the "fl.round" span, runs the driver's
 // exchange, closes the root, and fills RoundMetrics, RoundTelemetry and the
-// fl.* counters.  SyncDriver, ThreadedDriver and FleetDriver (fl/fleet.hpp)
-// supply only their exchange; every participant runs the same step,
-// Client::participate, and every parameter exchange crosses the serialized
-// wire format.
+// fl.* counters.  SyncDriver and FleetDriver (fl/fleet.hpp) supply only
+// their exchange; every participant runs the same step, Client::participate,
+// and every parameter exchange crosses the serialized wire format.  Rounds
+// run in virtual time: a client's round time is its measured training
+// seconds plus any scripted straggler delay, and nothing sleeps.
 //
 // Robustness model: each round has a deadline.  At the deadline the root
 // aggregates whatever validated updates arrived (partial aggregation); its
@@ -16,7 +17,6 @@
 
 #include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -32,7 +32,7 @@ namespace evfl::fl {
 /// How the driver picks which clients participate each round.  Selection is
 /// a pure hash of (seed, round, client_id) — independent of topology,
 /// thread schedule, and driver choice, so the same policy samples the same
-/// clients whether the fleet is flat, tree-sharded, sync, or threaded.
+/// clients whether the fleet is flat or tree-sharded, serial or pooled.
 enum class SamplingMode {
   kAll,        // every client, every round (the historical behavior)
   kBernoulli,  // each client independently with probability `fraction`
@@ -147,19 +147,17 @@ class Driver {
          const faults::FaultInjector* injector,
          obs::RoundTelemetrySink* telemetry, const AdversarySuite* adversary);
 
-  virtual void begin_run(std::size_t /*rounds*/) {}
   /// Broadcast round `round` to `cohort` (indices into ids_), run its
   /// participants and offer what arrived to the root.
   virtual Exchange exchange(std::uint32_t round,
                             const std::vector<std::size_t>& cohort) = 0;
-  virtual void end_run() {}
   /// FederatedRunResult::network: by default the run's own tally of the
   /// exchanges' traffic.
   virtual NetworkStats traffic(const NetworkStats& tally) const {
     return tally;
   }
 
-  /// The participant step for the virtual-time schedules.
+  /// The participant step every exchange runs.
   StepOptions step_options() const;
   static void add_audit(RoundAudit& into, const RoundAudit& from);
 
@@ -172,9 +170,11 @@ class Driver {
   const AdversarySuite* adversary_;
 };
 
-/// Built Clients reporting straight to the root over an InMemoryNetwork:
-/// the half SyncDriver and ThreadedDriver share.
-class FlatDriver : public Driver {
+/// Built Clients reporting straight to the root over an InMemoryNetwork.
+/// Clients train inline, or concurrently on the context's pool.  Uploads
+/// cross the network after the barrier, in cohort order, so a pooled run is
+/// bit-identical to the serial one, on a lossy network too.
+class SyncDriver : public Driver {
  public:
   /// `ctx` (optional, non-owning) supplies the thread pool and trace
   /// writer.  `injector` (optional, non-owning) scripts faults; it is also
@@ -183,7 +183,7 @@ class FlatDriver : public Driver {
   /// per round.  `adversary` (optional, non-owning) poisons attacker-client
   /// updates after local training, before encoding — the point a
   /// compromised client controls in a real deployment.
-  FlatDriver(Server& server, std::vector<std::unique_ptr<Client>>& clients,
+  SyncDriver(Server& server, std::vector<std::unique_ptr<Client>>& clients,
              InMemoryNetwork& net, const runtime::RunContext* ctx = nullptr,
              const faults::FaultInjector* injector = nullptr,
              RoundPolicy policy = {},
@@ -191,53 +191,15 @@ class FlatDriver : public Driver {
              const AdversarySuite* adversary = nullptr);
 
  protected:
+  Exchange exchange(std::uint32_t round,
+                    const std::vector<std::size_t>& cohort) override;
   /// The network's running totals.
   NetworkStats traffic(const NetworkStats& tally) const override;
-  /// Deliver the root's broadcast to the whole cohort in one call (drop
-  /// decisions drawn in cohort order); returns the broadcast bytes.
-  const std::vector<std::uint8_t>& broadcast(
-      const std::vector<std::size_t>& cohort, Exchange& ex);
-  /// Decode one arrival at the server node into `raw`; false when its
-  /// sender is not one of this driver's clients (counted as dropped).
-  bool take(const Message& msg, Exchange& ex,
-            std::vector<WeightUpdate>& raw) const;
-  /// Offer the round's arrivals to the root in client-id order.
-  void offer(std::uint32_t round, std::vector<WeightUpdate> raw,
-             Exchange& ex);
 
+ private:
   std::vector<std::unique_ptr<Client>>* clients_;
   InMemoryNetwork* net_;
   std::unordered_set<int> known_;
-};
-
-/// Clients train inline, or concurrently on the context's pool.  Uploads
-/// cross the network after the barrier, in cohort order, so a pooled run is
-/// bit-identical to the serial one, on a lossy network too.
-class SyncDriver : public FlatDriver {
- public:
-  using FlatDriver::FlatDriver;
-
- protected:
-  Exchange exchange(std::uint32_t round,
-                    const std::vector<std::size_t>& cohort) override;
-};
-
-/// One std::thread per client, talking through the InMemoryNetwork: the
-/// protocol under real concurrency, loss, stragglers and Byzantine clients.
-/// Rounds close at policy.round_deadline_ms: the root aggregates the
-/// validated partial set and never blocks past the deadline.
-class ThreadedDriver : public FlatDriver {
- public:
-  using FlatDriver::FlatDriver;
-
- protected:
-  void begin_run(std::size_t rounds) override;
-  Exchange exchange(std::uint32_t round,
-                    const std::vector<std::size_t>& cohort) override;
-  void end_run() override;
-
- private:
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace evfl::fl

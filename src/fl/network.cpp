@@ -1,7 +1,5 @@
 #include "fl/network.hpp"
 
-#include <chrono>
-
 #include "faults/fault_injector.hpp"
 #include "fl/serialize.hpp"
 
@@ -63,7 +61,6 @@ bool InMemoryNetwork::send(Message msg) {
   if (q.size() > stats_.peak_mailbox_depth) {
     stats_.peak_mailbox_depth = q.size();
   }
-  cv_.notify_all();
   return true;
 }
 
@@ -104,35 +101,7 @@ std::size_t InMemoryNetwork::broadcast(int from, const std::vector<int>& to,
     }
     ++delivered;
   }
-  cv_.notify_all();
   return delivered;
-}
-
-void InMemoryNetwork::send_control(Message msg) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  auto& q = queues_[msg.to];
-  q.push_back(std::move(msg));
-  if (q.size() > stats_.peak_mailbox_depth) {
-    stats_.peak_mailbox_depth = q.size();
-  }
-  cv_.notify_all();
-}
-
-std::optional<Message> InMemoryNetwork::receive(int node, double timeout_ms) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  auto& q = queues_[node];
-  // Absolute monotonic deadline fixed before any wait: however many spurious
-  // wakeups or foreign-node notifications land, the last wait still expires
-  // at entry-time + timeout_ms.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(
-                            static_cast<std::int64_t>(timeout_ms * 1000.0));
-  if (!cv_.wait_until(lock, deadline, [&q] { return !q.empty(); })) {
-    return std::nullopt;
-  }
-  Message msg = std::move(q.front());
-  q.pop_front();
-  return msg;
 }
 
 std::optional<Message> InMemoryNetwork::try_receive(int node) {

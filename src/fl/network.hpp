@@ -1,7 +1,8 @@
 // In-memory simulated network connecting federated participants.
 //
 // Thread-safe mailbox semantics: send() enqueues a byte message for the
-// destination node; receive() blocks (with timeout) until one arrives.
+// destination node; try_receive() takes the oldest one, if any.  Pool
+// workers receive concurrently, so every call holds the network's mutex.
 // Optional per-message simulated latency accumulates into a virtual clock,
 // and optional loss probability drops messages — both used by the
 // robustness tests and the communication-cost reporting.
@@ -11,7 +12,6 @@
 // case), keyed off the (sender, round) visible in the wire header.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -62,7 +62,7 @@ struct NetworkStats {
   std::uint64_t bytes_sent = 0;
   double virtual_latency_ms = 0.0;  // accumulated simulated transfer time
   /// Deepest any node's mailbox ever got (queued, not yet received) —
-  /// backpressure gauge for the threaded schedule.
+  /// backpressure gauge.
   std::uint64_t peak_mailbox_depth = 0;
 };
 
@@ -86,17 +86,7 @@ class InMemoryNetwork {
   std::size_t broadcast(int from, const std::vector<int>& to,
                         std::vector<std::uint8_t> bytes);
 
-  /// Enqueue a control-plane message: never dropped, never duplicated, not
-  /// counted in the traffic stats.  For simulation control (e.g. the
-  /// driver's shutdown broadcast), not for modeled protocol traffic.
-  void send_control(Message msg);
-
-  /// Blocking receive for a node; std::nullopt on timeout.  The timeout is
-  /// an absolute monotonic deadline fixed on entry: spurious wakeups and
-  /// notifications for other nodes never extend the wait.
-  std::optional<Message> receive(int node, double timeout_ms = 30'000.0);
-
-  /// Non-blocking receive.
+  /// Take the oldest message queued for a node; std::nullopt when none is.
   std::optional<Message> try_receive(int node);
 
   /// Number of queued messages for a node.
@@ -108,7 +98,6 @@ class InMemoryNetwork {
  private:
   NetworkConfig cfg_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::unordered_map<int, std::deque<Message>> queues_;
   NetworkStats stats_;
   tensor::Rng drop_rng_;

@@ -41,10 +41,6 @@ struct GlobalModel {
   std::vector<float> weights;
 };
 
-/// Sentinel round number: a GlobalModel carrying it is a control-plane
-/// shutdown signal ("no more rounds are coming"), never a training round.
-inline constexpr std::uint32_t kShutdownRound = 0xFFFFFFFFu;
-
 /// Elementwise: dst += alpha * src  (sizes must match).
 void axpy(std::vector<float>& dst, double alpha, const std::vector<float>& src);
 

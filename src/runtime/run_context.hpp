@@ -22,7 +22,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/workspace.hpp"
 #include "tensor/rng.hpp"
 
 namespace evfl::runtime {
@@ -30,24 +29,12 @@ namespace evfl::runtime {
 struct RunContext {
   ThreadPool* pool = nullptr;           // nullptr -> serial execution
   obs::Registry* registry = nullptr;    // nullptr -> count() is a no-op
-  // Optional explicit scratch arena.  Leave null to use the per-thread
-  // lane; set only for single-threaded callers (tests, benches) that want
-  // an isolated arena they can inspect.
-  Workspace* workspace = nullptr;
   // Optional trace sink: spans created through span() (and by the stages
   // that consult `trace` directly) record into it.  nullptr -> no tracing.
   obs::TraceWriter* trace = nullptr;
 
   std::size_t concurrency() const { return pool ? pool->concurrency() : 1; }
   bool parallel() const { return concurrency() > 1; }
-
-  /// Scratch arena for kernel temporaries: the explicitly attached one if
-  /// set, else the calling thread's lane.  Inside a parallel_for body this
-  /// must be re-fetched (each worker has its own lane); never share the
-  /// attached workspace across concurrent workers.
-  Workspace& scratch() const {
-    return workspace != nullptr ? *workspace : thread_workspace();
-  }
 
   /// Pool-backed parallel_for when a pool with workers is attached;
   /// otherwise one serial body(0, total) call.

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <limits>
-#include <thread>
 
 #include "fl/client.hpp"
 #include "fl/server.hpp"
@@ -66,84 +64,6 @@ TEST(Client, TrainRoundAdoptsGlobalAndImproves) {
   EXPECT_NEAR(u.weights[0], 2.0f, 0.5f);
   EXPECT_NEAR(u.weights[1], 0.0f, 0.3f);
   EXPECT_GT(client.last_train_seconds(), 0.0);
-}
-
-TEST(Client, ServeHandlesRoundsOverNetwork) {
-  Tensor3 x, y;
-  make_data(x, y, 1.0f, 64, 3);
-  ClientConfig cfg;
-  cfg.epochs_per_round = 2;
-  Client client(5, x, y, linear_factory(), cfg, Rng(4));
-
-  InMemoryNetwork net;
-  GlobalModel global;
-  global.weights = client.initial_weights();
-  net.send(Message{kServerNode, 5, serialize(global)});
-  ServeOptions opts;
-  opts.receive_timeout_ms = 1000.0;
-  client.serve(net, 1, opts);
-
-  const auto up = net.try_receive(kServerNode);
-  ASSERT_TRUE(up.has_value());
-  const WeightUpdate u = deserialize_update(up->bytes);
-  EXPECT_EQ(u.client_id, 5);
-}
-
-TEST(Client, ServeExitsOnTimeout) {
-  Tensor3 x, y;
-  make_data(x, y, 1.0f, 8, 5);
-  ClientConfig cfg;
-  Client client(1, x, y, linear_factory(), cfg, Rng(6));
-  InMemoryNetwork net;
-  ServeOptions opts;
-  opts.receive_timeout_ms = 10.0;
-  client.serve(net, 3, opts);  // nothing arrives; returns promptly
-  EXPECT_EQ(net.stats().messages_sent, 0u);
-}
-
-TEST(Client, ServeRetriesUntilBudgetNotBackoffRampExhausted) {
-  // With a tiny backoff ramp the exponential waits sum to ~20 ms; the client
-  // must keep retrying at the per-attempt ceiling until the full budget is
-  // spent, so a broadcast arriving well after the ramp still gets served.
-  Tensor3 x, y;
-  make_data(x, y, 1.0f, 16, 7);
-  ClientConfig cfg;
-  cfg.epochs_per_round = 1;
-  Client client(3, x, y, linear_factory(), cfg, Rng(8));
-  InMemoryNetwork net;
-
-  ServeOptions opts;
-  opts.receive_timeout_ms = 5'000.0;
-  opts.backoff.initial_ms = 1.0;
-  opts.backoff.multiplier = 2.0;
-  opts.backoff.max_wait_ms = 4.0;  // ramp: 1+2+4+4+... — ceiling after 3
-
-  std::thread server_side([&net, &client] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    GlobalModel global;
-    global.weights = client.initial_weights();
-    net.send(Message{kServerNode, 3, serialize(global)});
-  });
-  client.serve(net, 1, opts);
-  server_side.join();
-
-  // The late broadcast was received and answered.
-  EXPECT_TRUE(net.try_receive(kServerNode).has_value());
-}
-
-TEST(Client, ServeExitsPromptlyOnShutdownBroadcast) {
-  Tensor3 x, y;
-  make_data(x, y, 1.0f, 8, 9);
-  ClientConfig cfg;
-  Client client(4, x, y, linear_factory(), cfg, Rng(10));
-  InMemoryNetwork net;
-  net.send_control(
-      Message{kServerNode, 4, serialize(GlobalModel{kShutdownRound, {}})});
-  // Huge budget and 5 pending rounds: only the shutdown makes this return.
-  ServeOptions opts;
-  opts.receive_timeout_ms = 600'000.0;
-  client.serve(net, 5, opts);
-  EXPECT_EQ(net.stats().messages_sent, 0u);  // no update was produced
 }
 
 TEST(Server, BroadcastCarriesRoundAndWeights) {

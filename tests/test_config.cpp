@@ -22,12 +22,11 @@ void apply(ExperimentConfig& cfg, std::vector<std::string> args) {
 TEST(CliOverrides, AppliesKnownKeys) {
   ExperimentConfig cfg;
   apply(cfg, {"--rounds", "7", "--epochs", "3", "--threads", "8",
-              "--train-fraction", "0.9", "--threaded", "1"});
+              "--train-fraction", "0.9"});
   EXPECT_EQ(cfg.federated_rounds, 7u);
   EXPECT_EQ(cfg.epochs_per_round, 3u);
   EXPECT_EQ(cfg.threads, 8u);
   EXPECT_DOUBLE_EQ(cfg.train_fraction, 0.9);
-  EXPECT_TRUE(cfg.threaded);
 }
 
 TEST(CliOverrides, SetsTelemetryPaths) {

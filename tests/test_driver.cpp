@@ -108,8 +108,8 @@ TEST(SyncDriver, ToleratesDroppedMessages) {
 }
 
 TEST(SyncDriver, ZeroDeadlineMakesEveryUpdateLate) {
-  // As in the threaded and fleet drivers, a deadline <= 0 admits no
-  // update: nothing is aggregated and every reached client times out.
+  // As in the fleet driver, a deadline <= 0 admits no update: nothing is
+  // aggregated and every reached client times out.
   auto clients = make_clients(16, 14);
   Server server({0.0f, 0.0f});
   InMemoryNetwork net;
@@ -126,40 +126,11 @@ TEST(SyncDriver, ZeroDeadlineMakesEveryUpdateLate) {
   EXPECT_EQ(result.final_weights, (std::vector<float>{0.0f, 0.0f}));
 }
 
-TEST(ThreadedDriver, MatchesProtocolAndConverges) {
-  auto clients = make_clients(64, 6);
-  Server server({0.0f, 0.0f});
-  InMemoryNetwork net;
-  ThreadedDriver driver(server, clients, net);
-  const FederatedRunResult result = driver.run(4);
-  ASSERT_EQ(result.rounds.size(), 4u);
-  for (const auto& r : result.rounds) {
-    EXPECT_EQ(r.updates_received, 3u);
-  }
-  EXPECT_NEAR(result.final_weights[0], 2.0f, 0.4f);
-}
-
-TEST(ThreadedDriver, SkipsStragglersPastDeadline) {
-  auto clients = make_clients(512, 7);  // slower training
-  Server server({0.0f, 0.0f});
-  InMemoryNetwork net;
-  // Absurdly short collect deadline: rounds proceed with whatever arrived.
-  RoundPolicy policy;
-  policy.round_deadline_ms = 1.0;
-  ThreadedDriver driver(server, clients, net, nullptr, nullptr, policy);
-  const FederatedRunResult result = driver.run(2);
-  ASSERT_EQ(result.rounds.size(), 2u);
-  for (const auto& r : result.rounds) {
-    EXPECT_LE(r.updates_received, 3u);
-  }
-}
-
 TEST(Drivers, RequireClients) {
   std::vector<std::unique_ptr<Client>> none;
   Server server({0.0f});
   InMemoryNetwork net;
   EXPECT_THROW(SyncDriver(server, none, net), Error);
-  EXPECT_THROW(ThreadedDriver(server, none, net), Error);
 }
 
 TEST(SyncDriver, RecordsRoundTelemetry) {
@@ -186,27 +157,6 @@ TEST(SyncDriver, RecordsRoundTelemetry) {
     EXPECT_EQ(rounds[r].rejected_updates, 0u);
   }
   EXPECT_GT(sink.round_seconds_quantile(0.5), 0.0);
-}
-
-TEST(ThreadedDriver, RecordsRoundTelemetry) {
-  auto clients = make_clients(32, 12);
-  Server server({0.0f, 0.0f});
-  InMemoryNetwork net;
-  obs::RoundTelemetrySink sink;
-  ThreadedDriver driver(server, clients, net, nullptr, nullptr, RoundPolicy{},
-                        &sink);
-  driver.run(2);
-
-  ASSERT_EQ(sink.size(), 2u);
-  const std::vector<obs::RoundTelemetry> rounds = sink.rounds();
-  for (std::size_t r = 0; r < rounds.size(); ++r) {
-    EXPECT_EQ(rounds[r].round, r);
-    EXPECT_EQ(rounds[r].updates_accepted, 3u);
-    EXPECT_EQ(rounds[r].client_train_seconds.size(), 3u);
-    EXPECT_GT(rounds[r].wall_seconds, 0.0);
-    EXPECT_GT(rounds[r].bytes_down, 0u);
-    EXPECT_GT(rounds[r].bytes_up, 0u);
-  }
 }
 
 TEST(SyncDriver, TelemetryCountsValidatorRejections) {

@@ -238,6 +238,24 @@ TEST(RobustRules, CoordinateMedianResistsNearHalfCorruption) {
   EXPECT_FLOAT_EQ(avg[1], -1.0f);
 }
 
+TEST(RobustRules, LeavesPastBufferCapFoldIntoExactMean) {
+  // A robust rule buffers at most robust_buffer_cap leaves; the rest fold
+  // into the exact mean, and the result combines the two parts by FedAvg
+  // weight.
+  std::vector<WeightUpdate> updates;
+  const float values[] = {1.0f, 2.0f, 100.0f, 3.0f, 4.0f};
+  for (int i = 0; i < 5; ++i) {
+    updates.push_back(make_update(i, 10, {values[i]}));
+  }
+  FedAvgConfig cfg;
+  cfg.rule = AggregationRule::kCoordinateMedian;
+  EXPECT_FLOAT_EQ(fed_avg(updates, cfg)[0], 3.0f);  // all five buffered
+  // Cap 2: the median of {1, 2} is 1.5 and the exact mean of {100, 3, 4}
+  // is 107/3, so (2 * 1.5 + 3 * 107/3) / 5 = 22.
+  cfg.robust_buffer_cap = 2;
+  EXPECT_FLOAT_EQ(fed_avg(updates, cfg)[0], 22.0f);
+}
+
 TEST(RobustRules, OrderStatisticRulesIgnoreSampleCountInflation) {
   // An attacker claiming 10^6 samples must still get exactly one vote in
   // rank-based rules — otherwise sample_count is a free amplifier.

@@ -127,20 +127,6 @@ TEST_F(IntegrationTest, CentralizedTimeAndShape) {
   EXPECT_TRUE(central_filtered_->rounds.empty());
 }
 
-TEST(IntegrationThreaded, ThreadedDriverProducesComparableResults) {
-  ExperimentConfig cfg = tiny_config(13);
-  cfg.threaded = true;
-  ScenarioRunner runner(cfg);
-  const ScenarioResult result = runner.run_federated(DataScenario::kClean);
-  ASSERT_EQ(result.per_client.size(), 3u);
-  for (const ClientEvaluation& ev : result.per_client) {
-    EXPECT_GT(ev.regression.r2, 0.4) << "zone " << ev.zone;
-  }
-  for (const auto& r : result.rounds) {
-    EXPECT_EQ(r.updates_received, 3u);
-  }
-}
-
 TEST(IntegrationDeterminism, SameSeedSameResults) {
   ScenarioRunner a(tiny_config(21));
   ScenarioRunner b(tiny_config(21));

@@ -323,28 +323,6 @@ TEST(TraceWriter, SyncDriverFlushesSpansAtTeardown) {
   std::remove(path.c_str());
 }
 
-TEST(TraceWriter, ThreadedDriverFlushesSpansAtTeardown) {
-  // The threaded teardown ends mid-round for the workers (kShutdownRound
-  // broadcast), the shape that used to lose their buffered spans.
-  const std::string path = "test_trace_threaded_teardown.jsonl";
-  TraceWriter writer(path);
-  runtime::RunContext ctx;
-  ctx.trace = &writer;
-
-  auto clients = flush_test_clients();
-  fl::Server server({0.0f, 0.0f});
-  fl::InMemoryNetwork net;
-  fl::ThreadedDriver driver(server, clients, net, &ctx);
-  driver.run(1);
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open());
-  std::string all((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_NE(all.find("\"fl.round\""), std::string::npos);
-  std::remove(path.c_str());
-}
-
 TEST(TraceWriter, FleetDriverFlushesSpansAtTeardown) {
   // The fleet runs the same round loop: a round span, one training span
   // per materialized leaf, and a flush before run() returns.

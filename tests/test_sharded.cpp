@@ -22,54 +22,10 @@ namespace {
 using forecast::Engine;
 using forecast::ForecasterConfig;
 
-// ---- Shard ingest ring: serial contract ------------------------------------
-// Each shard ingests through a BoundedQueue.  The MpscRing test ids keep the
-// name of the lock-free ring that queue replaced.
-
-TEST(MpscRing, FifoWithinBound) {
-  BoundedQueue<int> r(64, 8);
-  for (int i = 0; i < 6; ++i) r.push(i);
-  EXPECT_EQ(r.size(), 6u);
-  EXPECT_EQ(r.dropped(), 0u);
-  std::vector<int> out;
-  EXPECT_EQ(r.drain(out), 6u);
-  ASSERT_EQ(out.size(), 6u);
-  for (int i = 0; i < 6; ++i) EXPECT_EQ(out[i], i);
-  EXPECT_EQ(r.size(), 0u);
-}
-
-TEST(MpscRing, DropsOldestPastMaxWithCount) {
-  BoundedQueue<int> r(8, 8);
-  for (int i = 0; i < 20; ++i) r.push(i);
-  EXPECT_EQ(r.size(), 8u);
-  EXPECT_EQ(r.dropped(), 12u);
-  // The freshest entries survive back-pressure, in order.
-  std::vector<int> out;
-  r.drain(out);
-  ASSERT_EQ(out.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], 12 + i);
-}
-
-TEST(MpscRing, StorageGrowsUnderBurstAndShrinksOnDrain) {
-  BoundedQueue<int> r(256, 8);
-  EXPECT_EQ(r.capacity(), 8u);
-  for (int i = 0; i < 100; ++i) r.push(i);
-  EXPECT_GE(r.capacity(), 100u);
-  EXPECT_EQ(r.dropped(), 0u);  // growth absorbed the burst, nothing lost
-  std::vector<int> out;
-  r.drain(out);
-  ASSERT_EQ(out.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i], i);
-  EXPECT_EQ(r.capacity(), 8u);  // burst memory returned
-  // Steady state within the watermark never grows the storage again.
-  for (int i = 0; i < 8; ++i) r.push(i);
-  EXPECT_EQ(r.capacity(), 8u);
-}
-
-TEST(MpscRing, Validation) {
-  EXPECT_THROW(BoundedQueue<int>(16, 32), Error);  // shrink > max
-  EXPECT_THROW(BoundedQueue<int>(16, 0), Error);
-}
+// ---- Shard ingest ring ------------------------------------------------------
+// Each shard ingests through a BoundedQueue, whose serial contract
+// test_stream.cpp pins.  The MpscRing test ids keep the name of the
+// lock-free ring that queue replaced.
 
 TEST(MpscRing, DrainInterleavedWithPushes) {
   BoundedQueue<int> r(16, 8);

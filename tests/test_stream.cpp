@@ -52,8 +52,11 @@ TEST(BoundedQueue, StorageGrowsUnderBurstAndShrinksOnDrain) {
   EXPECT_EQ(q.capacity(), 4u);
   for (int i = 0; i < 40; ++i) q.push(i);
   EXPECT_GE(q.capacity(), 40u);
+  EXPECT_EQ(q.dropped(), 0u);  // growth absorbed the burst, nothing lost
   std::vector<int> out;
   q.drain(out);
+  ASSERT_EQ(out.size(), 40u);
+  for (int i = 0; i < 40; ++i) EXPECT_EQ(out[i], i);
   EXPECT_EQ(q.capacity(), 4u);  // burst memory returned
   // Steady state within the watermark never grows the storage again.
   for (int i = 0; i < 4; ++i) q.push(i);
