@@ -97,7 +97,6 @@ int main() {
 
   fl::NetworkConfig hostile;
   hostile.drop_probability = 0.15;  // the DDoS is hammering the links too
-  hostile.latency_ms_per_kib = 0.5;
   fl::InMemoryNetwork net(hostile);
 
   fl::RoundPolicy policy;
@@ -111,8 +110,8 @@ int main() {
   }
   const fl::NetworkStats ns = run.network;
   std::cout << "network: " << ns.messages_sent << " sent, "
-            << ns.messages_dropped << " dropped, simulated latency "
-            << ns.virtual_latency_ms << " ms\n";
+            << ns.messages_dropped << " dropped, " << ns.bytes_sent
+            << " bytes\n";
   std::cout << "\ntraining completed despite message loss: FedAvg simply "
                "aggregates whichever updates arrive.\n";
   return 0;

@@ -83,13 +83,6 @@ class Client {
   /// Local model access (evaluation after training).
   nn::Sequential& model() { return model_; }
 
-  /// Initial local weights (used by the server to seed the global model).
-  std::vector<float> initial_weights() { return model_.get_weights(); }
-
-  /// Wall-clock seconds of the most recent train_round (what a genuinely
-  /// distributed deployment would spend on this client in parallel).
-  double last_train_seconds() const { return last_train_seconds_; }
-
  private:
   int id_;
   ClientConfig cfg_;
@@ -103,6 +96,7 @@ class Client {
   std::vector<std::uint8_t> wire_buf_;  // upload encode scratch
   /// Last upload, kept only while a stale-replay rule may ask for it.
   std::vector<std::uint8_t> previous_upload_;
+  /// Wall-clock seconds of the most recent train_round.
   double last_train_seconds_ = 0.0;
 };
 

@@ -213,7 +213,11 @@ FederatedRunResult Driver::run(std::size_t rounds) {
     tally.messages_sent += ex.messages_down + ex.messages_up;
     tally.messages_dropped += ex.dropped;
     tally.bytes_sent += ex.bytes_down + ex.bytes_up;
-    result.simulated_parallel_seconds += rm.max_client_seconds;
+    // A round closes at its deadline, so a straggler past it adds only the
+    // deadline, not its whole delay.
+    result.simulated_parallel_seconds +=
+        std::min(rm.max_client_seconds,
+                 std::max(0.0, policy_.round_deadline_ms / 1000.0));
     result.rounds.push_back(rm);
   }
 
@@ -240,7 +244,6 @@ SyncDriver::SyncDriver(Server& server,
   EVFL_REQUIRE(!clients.empty(), "a federated driver needs clients");
   for (const auto& client : clients) ids_.push_back(client->id());
   known_.insert(ids_.begin(), ids_.end());
-  if (injector != nullptr) net.set_fault_injector(injector);
 }
 
 NetworkStats SyncDriver::traffic(const NetworkStats& /*tally*/) const {
@@ -250,60 +253,67 @@ NetworkStats SyncDriver::traffic(const NetworkStats& /*tally*/) const {
 Driver::Exchange SyncDriver::exchange(std::uint32_t round,
                                       const std::vector<std::size_t>& cohort) {
   Exchange ex;
-  // One wire encoding per round (codec-aware), delivered to the whole cohort
-  // in one call (drop decisions drawn in cohort order); every recipient's
-  // mailbox references the same refcounted payload.
+  // One wire encoding per round (codec-aware) and one decode: every member
+  // the link reaches gets these same bytes.  The drop decisions are drawn
+  // before dispatch, in cohort order, and no pool task touches the network.
   const std::vector<std::uint8_t>& wire = root_->broadcast_wire();
-  std::vector<int> to;
-  to.reserve(cohort.size());
-  for (const std::size_t c : cohort) to.push_back(ids_[c]);
-  ex.reached = net_->broadcast(kServerNode, to, wire);
+  std::vector<bool> reached(cohort.size());
+  for (std::size_t k = 0; k < cohort.size(); ++k) {
+    reached[k] = net_->send(wire.size());
+    if (reached[k]) ++ex.reached;
+  }
   ex.dropped = cohort.size() - ex.reached;
   ex.messages_down = ex.reached;
   ex.bytes_down = static_cast<std::uint64_t>(ex.reached) * wire.size();
 
-  // Every delivery carries these same bytes, so one decode serves the
-  // cohort; a client runs only if its mailbox holds the broadcast.
   const GlobalModel global = deserialize_global(wire);
   std::vector<StepResult> out(cohort.size());
   const StepOptions step = step_options();
   ctx_->parallel_for(cohort.size(), 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
-      Client& client = *(*clients_)[cohort[k]];
-      if (net_->try_receive(client.id())) {
-        out[k] = client.participate(global, step);
+      if (reached[k]) {
+        out[k] = (*clients_)[cohort[k]]->participate(global, step);
       }
     }
   });
 
-  // Uploads cross the network after the barrier, in cohort order, so the
-  // network's drop and duplicate decisions never depend on the schedule.
+  // Uploads cross the link after the barrier, in cohort order, so neither
+  // its drop decisions nor the injector's duplicate decisions depend on the
+  // schedule.  Each delivered payload is decoded at the root at once; an
+  // update from an unknown sender is skipped and counted as dropped.
+  std::vector<WeightUpdate> raw;
+  raw.reserve(cohort.size());
+  const auto deliver = [&](const std::vector<std::uint8_t>& bytes) {
+    ex.bytes_up += bytes.size();
+    ++ex.messages_up;
+    WeightUpdate u = deserialize_update(bytes);
+    if (known_.count(u.client_id) == 0) {
+      ++ex.dropped;
+      return;
+    }
+    raw.push_back(std::move(u));
+  };
   ex.client_seconds.resize(cohort.size());
   for (std::size_t k = 0; k < cohort.size(); ++k) {
     const int id = ids_[cohort[k]];
     ex.client_seconds[k] = out[k].seconds;
-    if (!out[k].stale.empty()) {
-      net_->send(Message{id, kServerNode, std::move(out[k].stale)});
+    // A stale replay never consults the duplicate rule: its decision was
+    // made in the round it belongs to, once per (client, round).
+    if (!out[k].stale.empty() && net_->send(out[k].stale.size())) {
+      deliver(out[k].stale);
     }
-    if (out[k].upload != nullptr &&
-        !net_->send(Message{id, kServerNode, *out[k].upload})) {
+    if (out[k].upload == nullptr) continue;
+    const std::vector<std::uint8_t>& upload = *out[k].upload;
+    if (!net_->send(upload.size())) {
       ++ex.dropped;  // simulated network dropped the upload
-    }
-  }
-
-  // Decode every arrival at the server node; an update from an unknown
-  // sender is skipped and counted as dropped.
-  std::vector<WeightUpdate> raw;
-  raw.reserve(cohort.size());
-  while (std::optional<Message> up = net_->try_receive(kServerNode)) {
-    ex.bytes_up += up->payload().size();
-    ++ex.messages_up;
-    WeightUpdate u = deserialize_update(up->payload());
-    if (known_.count(u.client_id) == 0) {
-      ++ex.dropped;
       continue;
     }
-    raw.push_back(std::move(u));
+    // Scripted duplicate delivery: a faulty client (or a retransmitting
+    // transport) hands the root the same update more than once.
+    const int copies =
+        injector_ != nullptr ? injector_->duplicate_copies(id, round) : 0;
+    net_->duplicate(upload.size(), copies);
+    for (int c = 0; c <= copies; ++c) deliver(upload);
   }
 
   // The mean loss is a health signal over every arrival, corrupted or stale

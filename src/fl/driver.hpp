@@ -74,8 +74,9 @@ struct RoundMetrics {
   std::size_t updates_received = 0;
   double weight_delta = 0.0;     // L2 movement of the global model
   double wall_seconds = 0.0;
-  /// Slowest client's local-training time this round: the round's duration
-  /// under genuine client parallelism.
+  /// Slowest cohort member's virtual round time (training seconds plus
+  /// straggler delay).  The round lasts until this time or its deadline,
+  /// whichever comes first.
   double max_client_seconds = 0.0;
   /// Messages the (simulated) network lost this round — dropped broadcasts
   /// and dropped/undeliverable updates.  A lossy round degrades, it never
@@ -104,8 +105,10 @@ struct FederatedRunResult {
   std::vector<float> final_weights;
   NetworkStats network;
   double total_seconds = 0.0;
-  /// Sum over rounds of max_client_seconds — training time a physically
-  /// distributed deployment would observe (clients train concurrently).
+  /// Sum over rounds of the round's duration, max_client_seconds capped at
+  /// the round deadline — training time a physically distributed deployment
+  /// would observe (clients train concurrently, and a round closes at its
+  /// deadline).
   double simulated_parallel_seconds = 0.0;
 
   /// Per-run totals of the per-round robustness counters.
@@ -171,14 +174,15 @@ class Driver {
 };
 
 /// Built Clients reporting straight to the root over an InMemoryNetwork.
-/// Clients train inline, or concurrently on the context's pool.  Uploads
-/// cross the network after the barrier, in cohort order, so a pooled run is
-/// bit-identical to the serial one, on a lossy network too.
+/// Clients train inline, or concurrently on the context's pool.  The
+/// broadcast crosses the network before dispatch and the uploads after the
+/// barrier, both in cohort order, so a pooled run is bit-identical to the
+/// serial one, on a lossy network too.
 class SyncDriver : public Driver {
  public:
   /// `ctx` (optional, non-owning) supplies the thread pool and trace
-  /// writer.  `injector` (optional, non-owning) scripts faults; it is also
-  /// attached to the network so message-level faults (duplicates) apply.
+  /// writer.  `injector` (optional, non-owning) scripts faults, duplicate
+  /// deliveries of a client's update included.
   /// `telemetry` (optional, non-owning) receives one RoundTelemetry record
   /// per round.  `adversary` (optional, non-owning) poisons attacker-client
   /// updates after local training, before encoding — the point a

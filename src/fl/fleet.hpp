@@ -75,7 +75,8 @@ class FleetDriver : public Driver {
               obs::RoundTelemetrySink* telemetry = nullptr);
 
   /// Fault-plan node id of edge `e` (disjoint from leaf ids >= 0 and from
-  /// kServerNode == -1), so crash rules can target an aggregator tier.
+  /// -1, the client id a broadcast carries), so crash rules can target an
+  /// aggregator tier.
   static int edge_node_id(std::size_t e) { return -2 - static_cast<int>(e); }
 
   std::size_t population() const { return fleet_.size(); }

@@ -344,34 +344,6 @@ std::vector<std::uint8_t> serialize(const GlobalModel& model) {
   return out;
 }
 
-MessageKind peek_kind(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  const Header h = read_header(r);
-  if (h.kind != static_cast<std::uint16_t>(MessageKind::kWeightUpdate) &&
-      h.kind != static_cast<std::uint16_t>(MessageKind::kGlobalModel)) {
-    throw FormatError("wire: unknown message kind " + std::to_string(h.kind));
-  }
-  return static_cast<MessageKind>(h.kind);
-}
-
-std::optional<WirePeek> peek_header(const std::vector<std::uint8_t>& bytes) {
-  try {
-    Reader r(bytes);
-    const Header h = read_header(r);
-    if (h.kind != static_cast<std::uint16_t>(MessageKind::kWeightUpdate) &&
-        h.kind != static_cast<std::uint16_t>(MessageKind::kGlobalModel)) {
-      return std::nullopt;
-    }
-    WirePeek p;
-    p.kind = static_cast<MessageKind>(h.kind);
-    p.round = h.round;
-    p.client = h.client;
-    return p;
-  } catch (const FormatError&) {
-    return std::nullopt;
-  }
-}
-
 void deserialize_update_into(const std::vector<std::uint8_t>& bytes,
                              WeightUpdate& out) {
   Reader r(bytes);

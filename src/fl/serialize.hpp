@@ -20,8 +20,7 @@
 //   payload count * f32
 //
 // v2 — compressed payloads (see fl/codec.hpp for the codec semantics).  The
-// header shares the v1 prefix through `client`, so peek_header works on
-// either version without knowing which arrived:
+// header shares the v1 prefix through `client`:
 //   magic   u32  'EVFL'
 //   version u16  = 2
 //   kind    u16
@@ -61,7 +60,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "fl/weights.hpp"
@@ -113,22 +111,6 @@ void serialize_aggregate_into(std::uint32_t round, std::int32_t client,
                               std::uint64_t total_weight,
                               const std::vector<ExactTerm>& terms,
                               std::vector<std::uint8_t>& out);
-
-/// Peek at the message kind without full decoding; throws FormatError on
-/// malformed headers.
-MessageKind peek_kind(const std::vector<std::uint8_t>& bytes);
-
-/// Header fields visible without decoding the payload — what the simulated
-/// network needs to apply per-(sender, round) fault rules.
-struct WirePeek {
-  MessageKind kind = MessageKind::kWeightUpdate;
-  std::uint32_t round = 0;
-  std::int32_t client = -1;
-};
-
-/// Non-throwing header peek; std::nullopt on anything malformed.  Works on
-/// both wire versions (the peeked prefix is layout-identical).
-std::optional<WirePeek> peek_header(const std::vector<std::uint8_t>& bytes);
 
 /// Decoders throw evfl::FormatError on bad magic/version/kind/CRC/size.
 WeightUpdate deserialize_update(const std::vector<std::uint8_t>& bytes);

@@ -26,8 +26,9 @@ namespace evfl::obs {
 struct RoundTelemetry {
   std::uint32_t round = 0;
   double wall_seconds = 0.0;
-  /// Slowest client's local-training time (the round's duration under
-  /// genuine client parallelism).
+  /// Slowest client's virtual round time (training seconds plus straggler
+  /// delay).  The round lasts until this time or its deadline, whichever
+  /// comes first.
   double max_client_seconds = 0.0;
   /// Local-training seconds per client slot (driver client order).
   std::vector<double> client_train_seconds;

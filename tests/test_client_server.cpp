@@ -63,7 +63,9 @@ TEST(Client, TrainRoundAdoptsGlobalAndImproves) {
   // Should have moved towards slope 2, bias 0.
   EXPECT_NEAR(u.weights[0], 2.0f, 0.5f);
   EXPECT_NEAR(u.weights[1], 0.0f, 0.3f);
-  EXPECT_GT(client.last_train_seconds(), 0.0);
+  // As a participant, the client reports its round's training seconds.
+  global.round = 1;
+  EXPECT_GT(client.participate(global, StepOptions{}).seconds, 0.0);
 }
 
 TEST(Server, BroadcastCarriesRoundAndWeights) {

@@ -339,6 +339,9 @@ TEST(Faults, StragglerRoundsCloseAtDeadlineDeterministically) {
     // carries the scripted delay.
     EXPECT_GE(r.max_client_seconds, 0.6);
   }
+  // Each round closes at its 250 ms deadline, so the straggler adds only
+  // the deadline to the run's simulated time, not its whole delay.
+  EXPECT_DOUBLE_EQ(a.simulated_parallel_seconds, 4 * 0.25);
   EXPECT_EQ(stats.straggler_delays, 4u);
   EXPECT_TRUE(all_finite(a.final_weights));
   EXPECT_GT(holdout_r2(a.final_weights), 0.9);

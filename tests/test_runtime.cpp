@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "core/pipeline.hpp"
+#include "faults/fault_injector.hpp"
 #include "fl/driver.hpp"
 #include "forecast/model.hpp"
 #include "nn/activation.hpp"
@@ -837,6 +838,62 @@ TEST(PoolBackedSyncDriver, BitIdenticalToSerialUnderLossyNetwork) {
     }
     EXPECT_EQ(pooled.final_weights, serial.final_weights) << "rep " << rep;
   }
+}
+
+TEST(PoolBackedSyncDriver, LossyRunWithDuplicatesAndReplaysIsPinned) {
+  // Drops, duplicates and stale replays together, serial and pooled.  The
+  // counts depend only on the link's drop pattern and the fault plan, not
+  // on floating point, so they are pinned exactly.
+  struct Run {
+    fl::FederatedRunResult result;
+    fl::NetworkStats network;
+    faults::FaultStats faults;
+  };
+  auto run_with = [](const RunContext* ctx) {
+    auto clients = make_clients(256, 8, 10);
+    fl::Server server({0.0f, 0.0f});
+    fl::NetworkConfig net_cfg;
+    net_cfg.drop_probability = 0.3;
+    net_cfg.drop_seed = 3;
+    fl::InMemoryNetwork net(net_cfg);
+    faults::FaultPlan plan;
+    plan.duplicate(2);
+    plan.duplicate(5, 2);
+    plan.stale_replay(2, 1);
+    plan.stale_replay(7, 1);
+    const faults::FaultInjector injector(plan, 9);
+    fl::SyncDriver driver(server, clients, net, ctx, &injector);
+    Run run{driver.run(6), {}, {}};
+    run.network = net.stats();
+    run.faults = injector.stats();
+    return run;
+  };
+  // Per round: received, dropped, rejected, late, timed out.
+  const std::size_t expected[6][5] = {{4, 6, 1, 0, 4}, {5, 5, 1, 0, 1},
+                                      {8, 2, 2, 1, 1}, {6, 4, 3, 1, 2},
+                                      {8, 2, 0, 1, 0}, {4, 6, 1, 1, 2}};
+  const Run serial = run_with(nullptr);
+  ThreadPool pool(4);
+  RunContext ctx{&pool, nullptr};
+  const Run pooled = run_with(&ctx);
+  for (const Run* run : {&serial, &pooled}) {
+    EXPECT_EQ(run->network.messages_sent, 111u);
+    EXPECT_EQ(run->network.messages_dropped, 27u);
+    EXPECT_EQ(run->network.messages_duplicated, 8u);
+    EXPECT_EQ(run->network.bytes_sent, 5712u);
+    EXPECT_EQ(run->faults.duplicated_messages, 8u);
+    EXPECT_EQ(run->faults.stale_replays, 6u);
+    ASSERT_EQ(run->result.rounds.size(), 6u);
+    for (std::size_t r = 0; r < 6; ++r) {
+      const fl::RoundMetrics& m = run->result.rounds[r];
+      EXPECT_EQ(m.updates_received, expected[r][0]) << "round " << r;
+      EXPECT_EQ(m.dropped_messages, expected[r][1]) << "round " << r;
+      EXPECT_EQ(m.rejected_updates, expected[r][2]) << "round " << r;
+      EXPECT_EQ(m.late_updates, expected[r][3]) << "round " << r;
+      EXPECT_EQ(m.timed_out_clients, expected[r][4]) << "round " << r;
+    }
+  }
+  EXPECT_EQ(pooled.result.final_weights, serial.result.final_weights);
 }
 
 TEST(PoolBackedSyncDriver, RunsThroughDriverInterface) {
