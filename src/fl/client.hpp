@@ -83,6 +83,12 @@ class Client {
   /// Local model access (evaluation after training).
   nn::Sequential& model() { return model_; }
 
+  /// The last upload participate() kept for a stale-replay rule (kept only
+  /// while the injector's may_replay_stale holds for this client).  A
+  /// driver that builds its clients afresh every round moves it out after
+  /// a round and back in before the next one.
+  std::vector<std::uint8_t>& previous_upload() { return previous_upload_; }
+
  private:
   int id_;
   ClientConfig cfg_;

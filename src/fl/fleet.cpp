@@ -56,6 +56,9 @@ FleetDriver::FleetDriver(Aggregator& root,
   for (std::size_t i = 0; i < leaves; ++i) {
     shard_of_[i] = i * edge_count / leaves;
     ids_[i] = fleet_[i].id;
+    if (injector_ != nullptr && injector_->may_replay_stale(ids_[i])) {
+      kept_uploads_.try_emplace(i);
+    }
   }
 }
 
@@ -88,7 +91,9 @@ Driver::Exchange FleetDriver::exchange(
   }
 
   // --- tier 2: edges -> sampled leaves ---------------------------------
-  // Per cohort slot; an offered upload always has bytes.
+  // Per cohort slot: delivered uploads (0 = timed out) and their bytes,
+  // stale replays and duplicate copies included, and the fresh loss.
+  std::vector<std::uint32_t> up_messages(cohort.size(), 0);
   std::vector<std::uint64_t> up_bytes(cohort.size(), 0);
   std::vector<float> up_loss(cohort.size(), 0.0f);
   ex.client_seconds.assign(cohort.size(), 0.0);
@@ -116,15 +121,40 @@ Driver::Exchange FleetDriver::exchange(
                   cfg_.client, tensor::Rng(spec.series_seed ^ kLeafModelSalt));
     ctx_->count("fleet.clients_materialized");
 
+    // A leaf a stale-replay rule names gets back the upload it kept last
+    // round, so participate() can replay it, and keeps this round's.
+    const auto kept = kept_uploads_.find(cohort[k]);
+    if (kept != kept_uploads_.end()) {
+      client.previous_upload().swap(kept->second);
+    }
     const StepResult out = client.participate(shard_model[e], step);
+    if (kept != kept_uploads_.end()) {
+      kept->second.swap(client.previous_upload());
+    }
     ex.client_seconds[k] = out.seconds;
     if (out.upload == nullptr) return;  // crashed or too late
     WeightUpdate decoded;
     deserialize_update_into(*out.upload, decoded);
-    up_bytes[k] = out.upload->size();
     up_loss[k] = decoded.train_loss;
+    // Scripted duplicate delivery, asked once per delivered upload.
+    const int copies = injector_ != nullptr
+                           ? injector_->duplicate_copies(spec.id, round)
+                           : 0;
+    up_messages[k] = 1 + static_cast<std::uint32_t>(copies);
+    up_bytes[k] = up_messages[k] * out.upload->size();
     std::lock_guard<std::mutex> lock(edge_mutex_[e]);
+    // The stale replay goes out ahead of the fresh upload and the copies
+    // after it; the edge's validator judges every arrival, as the root's
+    // does in SyncDriver, and keeps the first copy.
+    if (!out.stale.empty()) {
+      ++up_messages[k];
+      up_bytes[k] += out.stale.size();
+      edges_[e]->offer(deserialize_update(out.stale));
+    }
     edges_[e]->offer(std::move(decoded));
+    for (int c = 0; c < copies; ++c) {
+      edges_[e]->offer(deserialize_update(*out.upload));
+    }
   };
   ctx_->parallel_for(cohort.size(), 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) leaf_task(k);
@@ -141,11 +171,11 @@ Driver::Exchange FleetDriver::exchange(
     ++ex.reached;
     ex.bytes_down += shard_bytes[e];
     ++ex.messages_down;
-    if (up_bytes[k] == 0) continue;  // crashed or too late: timed out
+    if (up_messages[k] == 0) continue;  // crashed or too late: timed out
     ++ex.fresh;
     loss_sum += static_cast<double>(up_loss[k]);
     ex.bytes_up += up_bytes[k];
-    ++ex.messages_up;
+    ex.messages_up += up_messages[k];
   }
   ex.mean_train_loss =
       ex.fresh > 0 ? static_cast<float>(loss_sum / ex.fresh) : 0.0f;

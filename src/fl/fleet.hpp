@@ -21,12 +21,16 @@
 // Fault semantics per tier: a crashed edge silently drops its whole shard
 // for the round (partial aggregation at the root — never an abort); a
 // crashed/straggling leaf times out against its edge exactly as in the flat
-// drivers.  Quorum is evaluated per tier by each node's own validator.
+// drivers, and a leaf's duplicate deliveries and stale replays reach its
+// edge as in SyncDriver (the leaf's last upload is carried across rounds
+// only for leaves a stale-replay rule names).  Quorum is evaluated per tier
+// by each node's own validator.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "datagen/fleet.hpp"
@@ -93,6 +97,10 @@ class FleetDriver : public Driver {
   /// One per edge: leaves of one shard serialize only their offer().
   std::unique_ptr<std::mutex[]> edge_mutex_;
   std::vector<std::size_t> shard_of_;  // leaf slot -> edge index
+  /// Leaf slot -> its last upload, for the leaves a stale-replay rule may
+  /// replay (so the plan, not the fleet, bounds it).  Keys are fixed at
+  /// construction; each round's leaf task swaps only its own value.
+  std::unordered_map<std::size_t, std::vector<std::uint8_t>> kept_uploads_;
 };
 
 }  // namespace evfl::fl

@@ -48,7 +48,7 @@ Tensor3 Dense::forward(const Tensor3& input, bool /*training*/) {
   return Tensor3::from_flat_rows(cached_output_, cached_n_, cached_t_);
 }
 
-Tensor3 Dense::backward(const Tensor3& grad_output) {
+Tensor3 Dense::backward(const Tensor3& grad_output, bool input_grad) {
   EVFL_ASSERT(!cached_input_.empty(), "Dense::backward before forward");
   const std::size_t rows = cached_output_.rows();
   const std::size_t cols = cached_output_.cols();
@@ -85,6 +85,7 @@ Tensor3 Dense::backward(const Tensor3& grad_output) {
     for (std::size_t c = 0; c < cols; ++c) gb[c] += sums.data[c];
   }
 
+  if (!input_grad) return {};
   const std::size_t in = w_.rows();
   tensor::MatView dx{scratch.borrow(rows * in), rows, in, in};
   dx.set_zero();

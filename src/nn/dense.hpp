@@ -16,7 +16,7 @@ class Dense : public Layer {
         std::size_t input_features = 0);
 
   Tensor3 forward(const Tensor3& input, bool training) override;
-  Tensor3 backward(const Tensor3& grad_output) override;
+  Tensor3 backward(const Tensor3& grad_output, bool input_grad) override;
   std::vector<ParamRef> params() override;
   void zero_grads() override {
     if (gw_.empty()) return;

@@ -27,10 +27,11 @@ Tensor3 Dropout::forward(const Tensor3& input, bool training) {
   return out;
 }
 
-Tensor3 Dropout::backward(const Tensor3& grad_output) {
-  if (!mask_valid_) return grad_output;  // eval-mode forward was identity
-  EVFL_REQUIRE(grad_output.same_shape(mask_),
+Tensor3 Dropout::backward(const Tensor3& grad_output, bool input_grad) {
+  EVFL_REQUIRE(!mask_valid_ || grad_output.same_shape(mask_),
                "Dropout backward shape mismatch");
+  if (!input_grad) return {};
+  if (!mask_valid_) return grad_output;  // eval-mode forward was identity
   Tensor3 dx = grad_output;
   for (std::size_t i = 0; i < dx.size(); ++i) dx.data()[i] *= mask_.data()[i];
   return dx;

@@ -12,7 +12,7 @@ class Dropout : public Layer {
   Dropout(float rate, Rng& rng);
 
   Tensor3 forward(const Tensor3& input, bool training) override;
-  Tensor3 backward(const Tensor3& grad_output) override;
+  Tensor3 backward(const Tensor3& grad_output, bool input_grad) override;
   std::size_t output_features(std::size_t input_features) const override {
     return input_features;
   }

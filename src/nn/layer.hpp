@@ -34,8 +34,12 @@ class Layer {
   virtual Tensor3 forward(const Tensor3& input, bool training) = 0;
 
   /// Backward pass for the most recent forward batch.  Accumulates parameter
-  /// gradients into the layer's grad buffers and returns dLoss/dInput.
-  virtual Tensor3 backward(const Tensor3& grad_output) = 0;
+  /// gradients into the layer's grad buffers.  Returns dLoss/dInput when
+  /// `input_grad` is set; otherwise the layer skips computing it and
+  /// returns an empty tensor (a model's first layer during training, whose
+  /// input gradient nothing reads).  Parameter gradients are the same bits
+  /// either way.
+  virtual Tensor3 backward(const Tensor3& grad_output, bool input_grad) = 0;
 
   /// Trainable parameters; empty for stateless layers.
   virtual std::vector<ParamRef> params() { return {}; }

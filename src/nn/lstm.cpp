@@ -154,7 +154,7 @@ Tensor3 Lstm::forward(const Tensor3& input, bool /*training*/) {
   return out_seq;
 }
 
-Tensor3 Lstm::backward(const Tensor3& grad_output) {
+Tensor3 Lstm::backward(const Tensor3& grad_output, bool input_grad) {
   EVFL_ASSERT(!cache_.empty(), "Lstm::backward before forward");
   const std::size_t n = cached_n_, t_len = cached_t_, h = units_;
   if (return_sequences_) {
@@ -167,17 +167,23 @@ Tensor3 Lstm::backward(const Tensor3& grad_output) {
                  "Lstm backward grad shape mismatch (last step)");
   }
 
-  Tensor3 dx(n, t_len, cached_in_);
+  // Without `input_grad` nothing below builds dx: no dx tensor, no Wxᵀ
+  // pack and no dZ·Wxᵀ product per step.  The parameter gradients never
+  // read dx, so their bits do not change.
+  Tensor3 dx;
+  if (input_grad) {
+    dx = Tensor3(n, t_len, cached_in_);
+    ensure_shape(bwd_dx_step_, n, cached_in_);
+  }
   ensure_shape(bwd_dh_, n, h);        // dh_t: dZ·Whᵀ from step t+1, + grads
   ensure_shape(bwd_dc_next_, n, h);   // dL/dc_t flowing from step t+1
   ensure_shape(bwd_dz_, n, 4 * h);
-  ensure_shape(bwd_dx_step_, n, cached_in_);
   bwd_dh_.set_zero();
   bwd_dc_next_.set_zero();
   // Every step below multiplies dZ by Wxᵀ and Whᵀ, so both are packed
   // once per call here rather than by matmul_nt_acc on every step.  The
   // layout is the one matmul_nt_acc packs, so the bits are the same.
-  transpose_into(wx_, bwd_wxt_);
+  if (input_grad) transpose_into(wx_, bwd_wxt_);
   transpose_into(wh_, bwd_wht_);
 
   for (std::size_t ti = t_len; ti-- > 0;) {
@@ -207,12 +213,16 @@ Tensor3 Lstm::backward(const Tensor3& grad_output) {
     bwd_dz_.col_sums_into(bwd_col_sums_);
     gb_ += bwd_col_sums_;
 
-    bwd_dx_step_.set_zero();
-    matmul_acc(bwd_dz_, bwd_wxt_, bwd_dx_step_);  // dx_t = dZ · Wxᵀ
-    dx.set_timestep(ti, bwd_dx_step_);
+    if (input_grad) {
+      bwd_dx_step_.set_zero();
+      matmul_acc(bwd_dz_, bwd_wxt_, bwd_dx_step_);  // dx_t = dZ · Wxᵀ
+      dx.set_timestep(ti, bwd_dx_step_);
+    }
 
-    bwd_dh_.set_zero();
-    matmul_acc(bwd_dz_, bwd_wht_, bwd_dh_);  // dh_prev = dZ · Whᵀ
+    if (ti > 0) {  // the first step's dh_prev feeds no earlier step
+      bwd_dh_.set_zero();
+      matmul_acc(bwd_dz_, bwd_wht_, bwd_dh_);  // dh_prev = dZ · Whᵀ
+    }
   }
   return dx;
 }

@@ -15,9 +15,10 @@ Tensor3 RepeatVector::forward(const Tensor3& input, bool /*training*/) {
   return out;
 }
 
-Tensor3 RepeatVector::backward(const Tensor3& grad_output) {
+Tensor3 RepeatVector::backward(const Tensor3& grad_output, bool input_grad) {
   EVFL_REQUIRE(grad_output.time() == repeats_,
                "RepeatVector backward time mismatch");
+  if (!input_grad) return {};
   Tensor3 dx(grad_output.batch(), 1, grad_output.features());
   for (std::size_t t = 0; t < repeats_; ++t) {
     dx.add_timestep(0, grad_output.timestep(t));

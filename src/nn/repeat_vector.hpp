@@ -11,7 +11,7 @@ class RepeatVector : public Layer {
   explicit RepeatVector(std::size_t repeats);
 
   Tensor3 forward(const Tensor3& input, bool training) override;
-  Tensor3 backward(const Tensor3& grad_output) override;
+  Tensor3 backward(const Tensor3& grad_output, bool input_grad) override;
   std::size_t output_features(std::size_t input_features) const override {
     return input_features;
   }

@@ -25,10 +25,12 @@ Tensor3 Sequential::forward(const Tensor3& input, bool training) {
   return x;
 }
 
-Tensor3 Sequential::backward(const Tensor3& grad_output) {
+Tensor3 Sequential::backward(const Tensor3& grad_output, bool input_grad) {
   Tensor3 g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    // Every layer above the first feeds its input gradient to the layer
+    // below it; only the first layer's is the model's own.
+    g = layers_[i]->backward(g, i > 0 || input_grad);
   }
   return g;
 }

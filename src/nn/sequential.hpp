@@ -37,8 +37,10 @@ class Sequential {
   /// Convenience for inference.
   Tensor3 predict(const Tensor3& input) { return forward(input, false); }
 
-  /// Backward through all layers; returns dLoss/dInput.
-  Tensor3 backward(const Tensor3& grad_output);
+  /// Backward through all layers, accumulating every parameter gradient.
+  /// Returns dLoss/dInput when `input_grad` is set; otherwise the first
+  /// layer skips computing it and the result is an empty tensor.
+  Tensor3 backward(const Tensor3& grad_output, bool input_grad);
 
   std::vector<ParamRef> params();
   void zero_grads();

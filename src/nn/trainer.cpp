@@ -12,7 +12,8 @@ float Trainer::train_batch(const Tensor3& x, const Tensor3& y) {
   const Tensor3 pred = model_->forward(x, /*training=*/true);
   model_->zero_grads();
   LossResult lr = loss_->value_and_grad(pred, y);
-  model_->backward(lr.grad);
+  // Nothing reads dLoss/dInput, so the first layer skips computing it.
+  model_->backward(lr.grad, /*input_grad=*/false);
   if (param_refs_.empty()) param_refs_ = model_->params();
   optimizer_->step(param_refs_);
   return lr.value;

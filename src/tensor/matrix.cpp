@@ -293,9 +293,10 @@ inline void fma_tile(const Gemm& g, std::size_t i, std::size_t j,
   };
   // The loops over r and v are unrolled before GCC's scalar replacement
   // of `acc`; otherwise the array stays on the stack and every k step
-  // stores all accumulators back to memory.
+  // stores all accumulators back to memory.  Each pragma's count covers
+  // its loop's largest trip count: 8 rows, 4 vectors.
   Vec acc[kRows][kVecs];
-#pragma GCC unroll 4
+#pragma GCC unroll 8
   for (int r = 0; r < kRows; ++r) {
 #pragma GCC unroll 4
     for (int v = 0; v < kVecs; ++v) {
@@ -309,14 +310,14 @@ inline void fma_tile(const Gemm& g, std::size_t i, std::size_t j,
     Vec bv[kVecs];
 #pragma GCC unroll 4
     for (int v = 0; v < kVecs; ++v) bv[v] = load(bp + w * v, v);
-#pragma GCC unroll 4
+#pragma GCC unroll 8
     for (int r = 0; r < kRows; ++r) {
       const Vec av = L::broadcast(ap + r * ars);
 #pragma GCC unroll 4
       for (int v = 0; v < kVecs; ++v) acc[r][v] = L::fma(av, bv[v], acc[r][v]);
     }
   }
-#pragma GCC unroll 4
+#pragma GCC unroll 8
   for (int r = 0; r < kRows; ++r) {
 #pragma GCC unroll 4
     for (int v = 0; v < kVecs; ++v) {
@@ -386,18 +387,34 @@ void row_tail(const Gemm& g, std::size_t i, std::size_t i1) {
   if (i < i1) row_block<L, 1, 4>(g, i, i1);
 }
 
+/// The whole kRows-row groups from row i on, as kRows × 2W tiles; returns
+/// the row after them.  An empty range is skipped, since row_block would
+/// still walk its column tiles.
+template <typename L, int kRows>
+std::size_t row_groups(const Gemm& g, std::size_t i, std::size_t i1) {
+  const std::size_t end = i + (i1 - i) / kRows * kRows;
+  if (end > i) row_block<L, kRows, 2>(g, i, end);
+  return end;
+}
+
 void gemm_rows(const Gemm& g, std::size_t i0, std::size_t i1) {
-  // Whole groups of four rows run 4 × 2W tiles at the target's widest
-  // lanes (4 × 32 under AVX-512F) once B has more than W columns, and
-  // 4 × 16 below that.  The 0–3 rows left over run 2 × 4W and 1 × 4W
-  // tiles at the widest lanes (2 × 64, 1 × 64) once B has 4W columns, and
-  // 2 × 32, 1 × 32 on 8 lanes below that — batch-1 predict, the engine's
-  // last rows and the xᵀ·dZ gradient of a one-feature input are such rows.
-  const std::size_t i = i0 + (i1 - i0) / 4 * 4;
+  // Once B has more than W columns, whole groups of eight rows run
+  // 8 × 2W tiles where the target has 32 vector registers (8 × 32 under
+  // AVX-512F, 16 accumulators) and the group of four after them 4 × 2W;
+  // AVX2's 16 registers would spill an 8-row tile, so there every whole
+  // group of four runs 4 × 16, as it does below W + 1 columns.  The 0–3
+  // rows left over run 2 × 4W and 1 × 4W tiles at the widest lanes
+  // (2 × 64, 1 × 64) once B has 4W columns, and 2 × 32, 1 × 32 on 8 lanes
+  // below that — batch-1 predict, the engine's last rows and the xᵀ·dZ
+  // gradient of a one-feature input are such rows.
+  std::size_t i = i0;
   if (g.n > WideLanes::kWidth) {
-    row_block<WideLanes, 4, 2>(g, i0, i);
+#if defined(__AVX512F__)
+    i = row_groups<WideLanes, 8>(g, i, i1);
+#endif
+    i = row_groups<WideLanes, 4>(g, i, i1);
   } else {
-    row_block<Lanes8, 4, 2>(g, i0, i);
+    i = row_groups<Lanes8, 4>(g, i, i1);
   }
   if (g.n >= 4 * WideLanes::kWidth) {
     row_tail<WideLanes>(g, i, i1);

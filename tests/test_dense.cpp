@@ -91,10 +91,10 @@ TEST(Dense, GradAccumulatesAcrossBackwards) {
   g(0, 0, 0) = 1.0f;
 
   layer.forward(x, true);
-  layer.backward(g);
+  layer.backward(g, /*input_grad=*/true);
   const float after_one = layer.params()[0].grad->data()[0];
   layer.forward(x, true);
-  layer.backward(g);
+  layer.backward(g, /*input_grad=*/true);
   const float after_two = layer.params()[0].grad->data()[0];
   EXPECT_FLOAT_EQ(after_two, 2.0f * after_one);
 
@@ -108,7 +108,7 @@ TEST(Dense, BackwardShapeMismatchThrows) {
   Tensor3 x(2, 1, 3);
   layer.forward(x, false);
   Tensor3 bad_grad(2, 1, 5);
-  EXPECT_THROW(layer.backward(bad_grad), ShapeError);
+  EXPECT_THROW(layer.backward(bad_grad, /*input_grad=*/true), ShapeError);
 }
 
 TEST(Dense, ZeroUnitsRejected) {

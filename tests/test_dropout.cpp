@@ -93,7 +93,7 @@ TEST(Dropout, BackwardUsesSameMask) {
   Dropout layer(0.5f, rng);
   const Tensor3 x = ones(8, 4, 4);
   const Tensor3 y = layer.forward(x, true);
-  const Tensor3 dx = layer.backward(ones(8, 4, 4));
+  const Tensor3 dx = layer.backward(ones(8, 4, 4), /*input_grad=*/true);
   // Gradient must be zero exactly where the activation was dropped and
   // scaled identically where kept.
   for (std::size_t i = 0; i < y.size(); ++i) {
@@ -106,7 +106,7 @@ TEST(Dropout, BackwardAfterEvalForwardIsIdentity) {
   Dropout layer(0.5f, rng);
   layer.forward(ones(2, 2, 2), false);
   const Tensor3 g = ones(2, 2, 2);
-  const Tensor3 dx = layer.backward(g);
+  const Tensor3 dx = layer.backward(g, /*input_grad=*/true);
   EXPECT_LT(tensor::max_abs_diff(g, dx), 1e-7f);
 }
 

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "datagen/fleet.hpp"
 #include "fl/server.hpp"
 #include "forecast/model.hpp"
 #include "obs/round_telemetry.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tensor/rng.hpp"
 
 namespace evfl {
@@ -192,6 +194,58 @@ TEST(FleetDriver, CrashedLeafTimesOutAgainstItsEdge) {
   EXPECT_EQ(rm.updates_received, 7u);
   EXPECT_EQ(rm.timed_out_clients, 1u);
   EXPECT_EQ(rm.dropped_messages, 0u);
+}
+
+TEST(FleetDriver, DuplicatesAndStaleReplaysAreRejectedAtTheEdge) {
+  // Leaf 2's upload arrives twice every round, and from round 1 leaf 3
+  // replays its previous round's upload ahead of the fresh one.  The leaf
+  // Clients are rebuilt every round, so the driver carries leaf 3's last
+  // upload across rounds.  The edges' validators reject every extra copy
+  // and every replay, so the model ends where a fault-free run does,
+  // serially and with leaves trained on a pool.
+  const std::vector<datagen::ClientSpec> fleet =
+      datagen::make_fleet(small_fleet_cfg(8));
+  fl::Server clean_root(root_weights());
+  fl::FleetDriver clean(clean_root, fleet, tiny_factory(),
+                        tiny_driver_cfg(2));
+  const fl::FederatedRunResult want = clean.run(3);
+
+  runtime::ThreadPool pool(4);
+  const runtime::RunContext pooled{&pool, nullptr};
+  const runtime::RunContext* const contexts[] = {nullptr, &pooled};
+  for (const runtime::RunContext* ctx : contexts) {
+    SCOPED_TRACE(ctx == nullptr ? "serial" : "pool of 4");
+    faults::FaultPlan plan;
+    plan.duplicate(fleet[2].id);
+    plan.stale_replay(fleet[3].id, /*from=*/1);
+    const faults::FaultInjector injector(plan);
+    fl::Server root(root_weights());
+    obs::RoundTelemetrySink telemetry;
+    fl::FleetDriver faulty(root, fleet, tiny_factory(), tiny_driver_cfg(2),
+                           ctx, &injector, &telemetry);
+    const fl::FederatedRunResult res = faulty.run(3);
+
+    const faults::FaultStats stats = injector.stats();
+    EXPECT_EQ(stats.duplicated_messages, 3u);  // one extra copy per round
+    EXPECT_EQ(stats.stale_replays, 2u);        // rounds 1 and 2
+    ASSERT_EQ(res.rounds.size(), 3u);
+    const std::vector<obs::RoundTelemetry> audits = telemetry.rounds();
+    ASSERT_EQ(audits.size(), 3u);
+    for (std::size_t r = 0; r < 3; ++r) {
+      SCOPED_TRACE("round " + std::to_string(r));
+      const fl::RoundMetrics& rm = res.rounds[r];
+      const obs::RoundTelemetry& rt = audits[r];
+      EXPECT_EQ(rm.updates_received, 8u);
+      EXPECT_EQ(rt.rejected_duplicate, 1u);
+      EXPECT_EQ(rm.rejected_updates, 1u);
+      EXPECT_EQ(rt.rejected_stale, r == 0 ? 0u : 1u);
+      EXPECT_EQ(rm.late_updates, r == 0 ? 0u : 1u);
+      EXPECT_EQ(rm.timed_out_clients, 0u);
+    }
+    // The extra deliveries cross the leaf->edge wire and count there.
+    EXPECT_GT(res.network.messages_sent, want.network.messages_sent);
+    EXPECT_EQ(res.final_weights, want.final_weights);  // bit-identical
+  }
 }
 
 }  // namespace

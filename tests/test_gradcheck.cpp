@@ -37,7 +37,7 @@ void expect_gradients_match(Sequential& model, const Tensor3& x,
   model.zero_grads();
   const Tensor3 pred = model.forward(x, /*training=*/false);
   const LossResult lr = loss.value_and_grad(pred, y);
-  model.backward(lr.grad);
+  model.backward(lr.grad, /*input_grad=*/true);
 
   auto params = model.params();
   std::size_t checked = 0, flat_index = 0;
@@ -187,7 +187,7 @@ TEST(GradCheck, InputGradientDense) {
 
   model.zero_grads();
   const LossResult lr = loss.value_and_grad(model.forward(x, false), y);
-  const Tensor3 dx = model.backward(lr.grad);
+  const Tensor3 dx = model.backward(lr.grad, /*input_grad=*/true);
 
   for (std::size_t i = 0; i < x.size(); ++i) {
     const float eps = 1e-3f;
@@ -214,7 +214,7 @@ TEST(GradCheck, InputGradientLstm) {
 
   model.zero_grads();
   const LossResult lr = loss.value_and_grad(model.forward(x, false), y);
-  const Tensor3 dx = model.backward(lr.grad);
+  const Tensor3 dx = model.backward(lr.grad, /*input_grad=*/true);
 
   for (std::size_t i = 0; i < x.size(); ++i) {
     const float eps = 1e-3f;

@@ -126,7 +126,7 @@ TEST(Lstm, BackwardInputGradShape) {
   const Tensor3 x = random_input(2, 5, 3, 15);
   const Tensor3 y = layer.forward(x, true);
   Tensor3 g(2, 5, 4);
-  const Tensor3 dx = layer.backward(g);
+  const Tensor3 dx = layer.backward(g, /*input_grad=*/true);
   EXPECT_EQ(dx.batch(), 2u);
   EXPECT_EQ(dx.time(), 5u);
   EXPECT_EQ(dx.features(), 3u);
@@ -138,7 +138,7 @@ TEST(Lstm, BackwardGradShapeMismatchThrows) {
   const Tensor3 x = random_input(2, 5, 2, 16);
   layer.forward(x, true);
   Tensor3 bad(2, 5, 4);  // last-step layer expects time == 1
-  EXPECT_THROW(layer.backward(bad), Error);
+  EXPECT_THROW(layer.backward(bad, /*input_grad=*/true), Error);
 }
 
 TEST(Lstm, RejectsChangedInputWidth) {

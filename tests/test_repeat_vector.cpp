@@ -32,7 +32,7 @@ TEST(RepeatVector, BackwardSumsOverTime) {
   g(0, 1, 0) = 2.0f;
   g(0, 2, 0) = 3.0f;
   g(0, 0, 1) = 0.5f;
-  const Tensor3 dx = layer.backward(g);
+  const Tensor3 dx = layer.backward(g, /*input_grad=*/true);
   EXPECT_EQ(dx.time(), 1u);
   EXPECT_FLOAT_EQ(dx(0, 0, 0), 6.0f);
   EXPECT_FLOAT_EQ(dx(0, 0, 1), 0.5f);
@@ -49,7 +49,7 @@ TEST(RepeatVector, RejectsWrongBackwardTime) {
   Tensor3 x(1, 1, 2);
   layer.forward(x, false);
   Tensor3 bad(1, 2, 2);
-  EXPECT_THROW(layer.backward(bad), Error);
+  EXPECT_THROW(layer.backward(bad, /*input_grad=*/true), Error);
 }
 
 TEST(RepeatVector, ZeroRepeatsRejected) {

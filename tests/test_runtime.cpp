@@ -316,23 +316,23 @@ TEST(BlockedMatmul, BitIdenticalToNaiveAcrossThreadCounts) {
 TEST(BlockedMatmul, EveryColumnTailMatchesNaive) {
   // Column counts around the 8-, 16-, 32- and 64-lane boundaries of both
   // tile widths, up to 4H at H = 25 and 50, each through all three
-  // products, with non-zero C so the chain starts from C.  11 rows = two
-  // 4-row tiles (16 lanes from n = 17 where the target has them), a 2-row
-  // and a 1-row block (16 lanes from n = 64 where the target has them),
-  // each with its own column tiling.  The columns after the full tiles
-  // are one tile of 1-4 vectors, the last masked when partial; this list
-  // reaches every (lanes, rows, vectors, masked) tile of both the AVX-512
-  // and the AVX2-only build, e.g. the 2-, 3- and 4-vector masked ones at
-  // n = 25, 31, 63, 90, 100 and 120 and the 3-vector unmasked ones at 24
-  // and 112.
+  // products, with non-zero C so the chain starts from C.  15 rows = an
+  // 8-row and a 4-row tile (8 × 32 and 4 × 32 from n = 17 where the
+  // target has 16 lanes; three 4 × 16 tiles on AVX2), a 2-row and a 1-row
+  // block (16 lanes from n = 64 where the target has them), each with its
+  // own column tiling.  The columns after the full tiles are one tile of
+  // 1-4 vectors, the last masked when partial; this list reaches every
+  // (lanes, rows, vectors, masked) tile of both the AVX-512 and the
+  // AVX2-only build, e.g. the 2-, 3- and 4-vector masked ones at n = 25,
+  // 31, 63, 90, 100 and 120 and the 3-vector unmasked ones at 24 and 112.
   for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17, 24, 25, 31, 32, 33, 47,
                               48, 63, 64, 65, 80, 90, 96, 100, 112, 120,
                               200}) {
-    const Matrix a = random_sparse_matrix(11, 13, 40 + n);
+    const Matrix a = random_sparse_matrix(15, 13, 40 + n);
     const Matrix b = random_sparse_matrix(13, n, 50 + n);
-    const Matrix at = random_sparse_matrix(13, 11, 60 + n);
+    const Matrix at = random_sparse_matrix(13, 15, 60 + n);
     const Matrix bt = random_sparse_matrix(n, 13, 70 + n);
-    const Matrix c0 = random_matrix(11, n, 80 + n);
+    const Matrix c0 = random_matrix(15, n, 80 + n);
 
     Matrix want = c0, got = c0;
     naive_matmul_acc(a, b, want);
@@ -350,6 +350,49 @@ TEST(BlockedMatmul, EveryColumnTailMatchesNaive) {
     naive_matmul_nt_acc(a, bt, want);
     tensor::matmul_nt_acc(a, bt, got);
     EXPECT_EQ(tensor::max_abs_diff(got, want), 0.0f) << "nt n=" << n;
+  }
+}
+
+TEST(BlockedMatmul, EightRowTilesMatchNaiveAcrossThreadCounts) {
+  // Where the target has 16 lanes, whole groups of eight rows run 8 × 32
+  // tiles once n > 16, the group of four after them 4 × 32, and the 1-3
+  // rows left 2- and 1-row tiles: m = 8 is one 8-row group, 12 and 13 add
+  // a 4-row group (and a lone row), 15 runs 8 + 4 + 2 + 1, and 50 six
+  // 8-row groups and a 2-row remainder.  n = 17, 25, 50 and 200 end every
+  // row block in a masked tail.  m = 1 is a lone row and m = 0 an empty
+  // range, which must leave C as it is.  The 4-thread partition cuts the
+  // row groups at other places than the serial run does.
+  for (const std::size_t m : {0, 1, 8, 12, 13, 15, 50}) {
+    for (const std::size_t n : {17, 25, 50, 200}) {
+      SCOPED_TRACE("m " + std::to_string(m) + ", n " + std::to_string(n));
+      const std::size_t k = 19;
+      const Matrix a = random_sparse_matrix(m, k, 90 + m * n);
+      const Matrix b = random_sparse_matrix(k, n, 91 + m * n);
+      const Matrix at = random_sparse_matrix(k, m, 92 + m * n);
+      const Matrix bt = random_sparse_matrix(n, k, 93 + m * n);
+      const Matrix c0 = random_matrix(m, n, 94 + m * n);
+      Matrix want = c0, want_tn = c0, want_nt = c0;
+      naive_matmul_acc(a, b, want);
+      naive_matmul_tn_acc(at, b, want_tn);
+      naive_matmul_nt_acc(a, bt, want_nt);
+
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        ThreadPool pool(threads);
+        RunContext ctx{&pool, nullptr};
+        Matrix got = c0;
+        tensor::matmul_acc(a, b, got, ctx);
+        EXPECT_EQ(tensor::max_abs_diff(got, want), 0.0f)
+            << "nn, " << threads << " threads";
+        got = c0;
+        tensor::matmul_tn_acc(at, b, got, ctx);
+        EXPECT_EQ(tensor::max_abs_diff(got, want_tn), 0.0f)
+            << "tn, " << threads << " threads";
+        got = c0;
+        tensor::matmul_nt_acc(a, bt, got, ctx);
+        EXPECT_EQ(tensor::max_abs_diff(got, want_nt), 0.0f)
+            << "nt, " << threads << " threads";
+      }
+    }
   }
 }
 
@@ -552,7 +595,7 @@ void expect_lstm_matches_reference(std::size_t units, std::size_t in) {
 
     lstm.zero_grads();
     ref.zero_grads();
-    const Tensor3 dx_new = lstm.backward(g);
+    const Tensor3 dx_new = lstm.backward(g, /*input_grad=*/true);
     const Tensor3 dx_ref = ref.backward(g);
     EXPECT_EQ(tensor::max_abs_diff(dx_new, dx_ref), 0.0f)
         << "dx diverged at step " << step;

@@ -4,7 +4,9 @@
 
 #include <fstream>
 
+#include "forecast/model.hpp"
 #include "nn/dense.hpp"
+#include "nn/dropout.hpp"
 #include "nn/lstm.hpp"
 
 namespace evfl::nn {
@@ -84,12 +86,53 @@ TEST(Sequential, ZeroGradsClearsAll) {
   Tensor3 g(2, 1, 1);
   g(0, 0, 0) = 1.0f;
   m.forward(x, true);
-  m.backward(g);
+  m.backward(g, /*input_grad=*/true);
   bool any_nonzero = false;
   for (float v : m.get_grads()) any_nonzero |= (v != 0.0f);
   EXPECT_TRUE(any_nonzero);
   m.zero_grads();
   for (float v : m.get_grads()) EXPECT_EQ(v, 0.0f);
+}
+
+/// One forward, then a full backward and one without the input gradient:
+/// every parameter gradient must be bit-equal, and only the full one may
+/// return dLoss/dInput.
+void expect_input_grad_skip_keeps_param_grads(Sequential& m, const Tensor3& x,
+                                              const Tensor3& g) {
+  m.forward(x, /*training=*/true);
+  m.zero_grads();
+  const Tensor3 dx = m.backward(g, /*input_grad=*/true);
+  EXPECT_TRUE(dx.same_shape(x));
+  const std::vector<float> full = m.get_grads();
+  m.zero_grads();
+  const Tensor3 skipped = m.backward(g, /*input_grad=*/false);
+  EXPECT_TRUE(skipped.empty());
+  EXPECT_EQ(m.get_grads(), full);  // bit-equal, not approximately equal
+}
+
+TEST(Sequential, BackwardWithoutInputGradKeepsParamGrads) {
+  Rng rng(11);
+  Rng data(12);
+  {
+    SCOPED_TRACE("LSTM first: the paper's forecaster");
+    Sequential m = forecast::make_forecaster(forecast::ForecasterConfig{}, rng);
+    Tensor3 x(32, 24, 1), g(32, 1, 1);
+    for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = data.uniform(0, 1);
+    for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] = data.normal();
+    expect_input_grad_skip_keeps_param_grads(m, x, g);
+  }
+  {
+    SCOPED_TRACE("Dense first, then Dropout, an LSTM and a Dense");
+    Sequential m;
+    m.emplace<Dense>(6, Activation::kRelu, rng, 3);
+    m.emplace<Dropout>(0.25f, rng);
+    m.emplace<Lstm>(5, /*return_sequences=*/true, rng, 6);
+    m.emplace<Dense>(1, Activation::kLinear, rng, 5);
+    Tensor3 x(9, 7, 3), g(9, 7, 1);
+    for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = data.normal();
+    for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] = data.normal();
+    expect_input_grad_skip_keeps_param_grads(m, x, g);
+  }
 }
 
 TEST(Sequential, SummaryMentionsLayersAndParams) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
@@ -166,6 +168,63 @@ TEST(Trainer, OnEpochEndCallbackFires) {
   cfg.on_epoch_end = [&](std::size_t, float, float) { ++calls; };
   trainer.fit(x, y, cfg);
   EXPECT_EQ(calls, 5u);
+}
+
+TEST(Trainer, FitWithoutInputGradMatchesFullBackwardLoop) {
+  // train_batch skips the first layer's input gradient.  A loop with
+  // fit()'s schedule (same permutations, batches and Adam steps) that runs
+  // the full backward must end on the same weights, bit for bit: the
+  // paper's LSTM-first forecaster shape, and a Dense-first model.
+  const auto lstm_first = [](Rng& rng) {
+    Sequential m;
+    m.emplace<Lstm>(50, /*return_sequences=*/false, rng, 1);
+    m.emplace<Dense>(10, Activation::kRelu, rng, 50);
+    m.emplace<Dense>(1, Activation::kLinear, rng, 10);
+    return m;
+  };
+  const auto dense_first = [](Rng& rng) {
+    Sequential m;
+    m.emplace<Dense>(4, Activation::kTanh, rng, 1);
+    m.emplace<Lstm>(8, /*return_sequences=*/false, rng, 4);
+    m.emplace<Dense>(1, Activation::kLinear, rng, 8);
+    return m;
+  };
+  for (const auto& make : {+lstm_first, +dense_first}) {
+    Rng data(21);
+    Tensor3 x(45, 12, 1), y(45, 1, 1);
+    for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = data.uniform(0, 1);
+    for (std::size_t i = 0; i < y.size(); ++i) y.data()[i] = data.uniform(0, 1);
+    FitConfig cfg;
+    cfg.epochs = 3;
+    cfg.batch_size = 16;
+
+    Rng rng_fit(5);
+    Sequential fitted = make(rng_fit);
+    MseLoss loss;
+    Adam opt_fit(1e-2f);
+    Trainer trainer(fitted, loss, opt_fit, rng_fit);
+    trainer.fit(x, y, cfg);
+
+    Rng rng_loop(5);
+    Sequential looped = make(rng_loop);
+    Adam opt_loop(1e-2f);
+    std::vector<ParamRef> params;
+    for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+      const std::vector<std::size_t> order = rng_loop.permutation(x.batch());
+      for (std::size_t start = 0; start < x.batch(); start += cfg.batch_size) {
+        const std::size_t end = std::min(x.batch(), start + cfg.batch_size);
+        const std::vector<std::size_t> idx(order.begin() + start,
+                                           order.begin() + end);
+        const Tensor3 pred = looped.forward(x.gather(idx), /*training=*/true);
+        looped.zero_grads();
+        const LossResult lr = loss.value_and_grad(pred, y.gather(idx));
+        looped.backward(lr.grad, /*input_grad=*/true);
+        if (params.empty()) params = looped.params();
+        opt_loop.step(params);
+      }
+    }
+    EXPECT_EQ(fitted.get_weights(), looped.get_weights());
+  }
 }
 
 TEST(PredictBatched, MatchesSingleForward) {
