@@ -1,15 +1,17 @@
 // Serving-path bench at the paper's forecaster shape: forecasts/sec for
 // the per-series baseline (Sequential::predict, one series per call — the
 // path serving used before forecast::Engine) versus batched engine
-// scoring, plus *heap allocations per scoring batch* — the deterministic
-// metric the perf-smoke CI job pins (timings are trend-watched via the
-// JSON artifact, not gated; shared runners make them noisy).  Writes
-// BENCH_serving.json.
+// scoring at --serve-batch rows and at 256 rows (the replay batch of
+// perfbench's stream_soak), plus *heap allocations per scoring batch* —
+// the deterministic metric the perf-smoke CI job pins (timings are
+// trend-watched via the JSON artifact, not gated; shared runners make
+// them noisy).  Writes BENCH_serving.json.
 //
 //   bench_serving                  # full run: trains briefly, prints
 //                                  # throughput/R2/latency, writes JSON
 //   bench_serving --check-allocs   # short run; exit 1 if a steady-state
-//                                  # scoring batch still allocates
+//                                  # scoring batch of either width still
+//                                  # allocates
 //
 // Honors --serve-batch N and --threads N (adds a pool-parallel engine
 // measurement; note ThreadPool dispatch itself allocates, so the
@@ -39,6 +41,10 @@ namespace {
 using namespace evfl;
 using tensor::Rng;
 using tensor::Tensor3;
+
+/// The second scoring width: perfbench's stream_soak replays 256 zones per
+/// batch.
+constexpr std::size_t kWideBatch = 256;
 
 struct BatchStats {
   double forecasts_per_sec = 0.0;
@@ -160,11 +166,17 @@ int main(int argc, char** argv) {
   }
   const std::vector<float> weights = model.get_weights();
 
-  // One fixed scoring batch, drawn from the dataset (wraps if needed).
-  Tensor3 x(batch, model_cfg.sequence_length, model_cfg.input_features);
-  for (std::size_t i = 0; i < batch; ++i) {
-    ds.x.copy_sample_into(i % ds.x.batch(), x, i);
-  }
+  // One fixed scoring batch per width, drawn from the dataset (wraps if
+  // needed).
+  const auto scoring_batch = [&](std::size_t rows) {
+    Tensor3 t(rows, model_cfg.sequence_length, model_cfg.input_features);
+    for (std::size_t i = 0; i < rows; ++i) {
+      ds.x.copy_sample_into(i % ds.x.batch(), t, i);
+    }
+    return t;
+  };
+  const Tensor3 x = scoring_batch(batch);
+  const Tensor3 x_wide = scoring_batch(kWideBatch);
 
   const std::size_t warmup = check_allocs ? 3 : 10;
   const std::size_t iters = check_allocs ? 10 : 100;
@@ -172,10 +184,12 @@ int main(int argc, char** argv) {
   obs::Registry registry;
   obs::Histogram* base_hist = nullptr;
   obs::Histogram* fp32_hist = nullptr;
+  obs::Histogram* wide_hist = nullptr;
   obs::Histogram* pool_hist = nullptr;
   if (!check_allocs) {
     base_hist = &registry.histogram("serving.baseline_batch_seconds");
     fp32_hist = &registry.histogram("serving.fp32_batch_seconds");
+    wide_hist = &registry.histogram("serving.fp32_wide_batch_seconds");
     pool_hist = &registry.histogram("serving.fp32_pool_batch_seconds");
   }
 
@@ -207,12 +221,24 @@ int main(int argc, char** argv) {
   const BatchStats fp32_stats = measure(warmup, iters, batch, fp32_hist,
                                         [&] { fp32.score(x, out.data()); });
 
-  std::printf("=== serving bench (batch %zu, seq %zu, hidden %zu, "
+  // The same weights at the wide width, on an engine of its own so the
+  // registry's engine.* telemetry keeps describing --serve-batch.
+  forecast::EngineConfig wide_cfg;
+  wide_cfg.max_batch = kWideBatch;
+  forecast::Engine wide(model_cfg, wide_cfg);
+  wide.publish(weights);
+  std::vector<float> out_wide(kWideBatch);
+  const BatchStats wide_stats =
+      measure(warmup, iters, kWideBatch, wide_hist,
+              [&] { wide.score(x_wide, out_wide.data()); });
+
+  std::printf("=== serving bench (batch %zu and %zu, seq %zu, hidden %zu, "
               "threads %zu) ===\n",
-              batch, model_cfg.sequence_length, model_cfg.lstm_units,
-              cfg.threads);
+              batch, kWideBatch, model_cfg.sequence_length,
+              model_cfg.lstm_units, cfg.threads);
   print_stats("baseline_per_series", baseline);
   print_stats("engine_fp32", fp32_stats);
+  print_stats("engine_fp32_wide", wide_stats);
 
   const double speedup_fp32 =
       baseline.forecasts_per_sec > 0.0
@@ -222,13 +248,19 @@ int main(int argc, char** argv) {
 
   if (check_allocs) {
     // The deterministic regression gate: a steady-state scoring batch must
-    // not touch the heap.
-    if (fp32_stats.allocs_per_batch > 0.0) {
-      std::printf("FAIL: steady-state scoring allocates (%.1f/batch)\n",
-                  fp32_stats.allocs_per_batch);
+    // not touch the heap, at either width.
+    if (fp32_stats.allocs_per_batch > 0.0 ||
+        wide_stats.allocs_per_batch > 0.0) {
+      std::printf(
+          "FAIL: steady-state scoring allocates (%.1f/batch at %zu rows, "
+          "%.1f/batch at %zu rows)\n",
+          fp32_stats.allocs_per_batch, batch, wide_stats.allocs_per_batch,
+          kWideBatch);
       return 1;
     }
-    std::printf("OK: steady-state scoring is allocation-free\n");
+    std::printf("OK: steady-state scoring is allocation-free at %zu and %zu "
+                "rows\n",
+                batch, kWideBatch);
     return 0;
   }
 
@@ -258,12 +290,14 @@ int main(int argc, char** argv) {
   {
     std::ofstream json("BENCH_serving.json");
     json << "{\n  \"config\": {\"batch\": " << batch
+         << ", \"wide_batch\": " << kWideBatch
          << ", \"seq\": " << model_cfg.sequence_length
          << ", \"hidden\": " << model_cfg.lstm_units
          << ", \"dense\": " << model_cfg.dense_units
          << ", \"threads\": " << cfg.threads << "},\n";
     json_entry(json, "baseline_per_series", baseline, ",");
     json_entry(json, "engine_fp32", fp32_stats, ",");
+    json_entry(json, "engine_fp32_wide", wide_stats, ",");
     if (cfg.threads != 1) json_entry(json, "engine_fp32_pool", fp32_mt, ",");
     json << "  \"speedup_fp32_vs_baseline\": " << speedup_fp32 << ",\n"
          << "  \"r2_fp32\": " << r2_fp32 << "\n}\n";

@@ -214,15 +214,12 @@ void Engine::score_rows(const Snapshot& snap, const tensor::Tensor3& x,
 
   // Lstm::forward's step on the serving layout: z = b + x·Wx, z += h·Wh
   // (both the per-element FMA sequence of tensor::matmul_acc), then the
-  // shared gate kernel.
+  // shared row loop of the gate kernel.
   for (std::size_t t = 0; t < t_len; ++t) {
     fused_init_z(z, zstride, nb, x0 + t * in, t_len * in, in, snap.b_pad,
                  snap.wx_pad);
     tensor::matmul_acc(hv, whv, zv);
-    for (std::size_t r = 0; r < nb; ++r) {
-      nn::lstm_cell_row<false>(z + r * zstride, cbuf + r * h, hbuf + r * h,
-                               nullptr, h);
-    }
+    nn::lstm_cell_rows<false>(z, zstride, cbuf, hbuf, nullptr, h, nb);
   }
 
   // Dense(d, relu) then Dense(1, linear): zero → matmul_acc → bias →

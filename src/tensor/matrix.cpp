@@ -398,11 +398,11 @@ std::size_t row_groups(const Gemm& g, std::size_t i, std::size_t i1) {
 }
 
 void gemm_rows(const Gemm& g, std::size_t i0, std::size_t i1) {
-  // Once B has more than W columns, whole groups of eight rows run
-  // 8 × 2W tiles where the target has 32 vector registers (8 × 32 under
-  // AVX-512F, 16 accumulators) and the group of four after them 4 × 2W;
-  // AVX2's 16 registers would spill an 8-row tile, so there every whole
-  // group of four runs 4 × 16, as it does below W + 1 columns.  The 0–3
+  // Where the target has 32 vector registers (AVX-512F), whole groups of
+  // eight rows run 8 × 2W tiles (16 accumulators): 8 × 32 once B has more
+  // than 16 columns, 8 × 16 on 8 lanes below that; the group of four after
+  // them runs 4 × 32 or 4 × 16.  AVX2's 16 registers would spill an 8-row
+  // tile, so there every whole group of four runs 4 × 16.  The 0–3
   // rows left over run 2 × 4W and 1 × 4W tiles at the widest lanes
   // (2 × 64, 1 × 64) once B has 4W columns, and 2 × 32, 1 × 32 on 8 lanes
   // below that — batch-1 predict, the engine's last rows and the xᵀ·dZ
@@ -414,6 +414,9 @@ void gemm_rows(const Gemm& g, std::size_t i0, std::size_t i1) {
 #endif
     i = row_groups<WideLanes, 4>(g, i, i1);
   } else {
+#if defined(__AVX512F__)
+    i = row_groups<Lanes8, 8>(g, i, i1);
+#endif
     i = row_groups<Lanes8, 4>(g, i, i1);
   }
   if (g.n >= 4 * WideLanes::kWidth) {

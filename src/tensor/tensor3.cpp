@@ -19,6 +19,13 @@ Matrix Tensor3::timestep(std::size_t t) const {
 void Tensor3::copy_timestep_into(std::size_t t, Matrix& dst) const {
   EVFL_ASSERT(t < t_, "timestep out of range");
   if (dst.rows() != n_ || dst.cols() != f_) dst = Matrix(n_, f_);
+  if (f_ == 1) {
+    // One float per row: a strided loop, not a copy call per float.
+    const float* src = data_.data() + t;
+    float* out = dst.data();
+    for (std::size_t n = 0; n < n_; ++n) out[n] = src[n * t_];
+    return;
+  }
   for (std::size_t n = 0; n < n_; ++n) {
     const float* src = data_.data() + (n * t_ + t) * f_;
     std::copy(src, src + f_, dst.row(n));

@@ -42,10 +42,12 @@ Tensor3 random_batch(std::size_t n, std::size_t t, std::size_t f,
 /// The engine runs Lstm::forward's FMA sequence and gate kernel, so every
 /// row equals Sequential::predict of that row alone, bit for bit, at any
 /// batch width.  H = 13 puts gate columns in the scalar tail, 16 fills
-/// whole 8-wide groups, 50 is the paper's shape.
+/// whole 8-wide groups, 50 is the paper's shape.  Where the target has
+/// AVX-512F, H = 8 (fleet_rounds' leaf) runs rows in pairs, and at H = 25,
+/// 13 and 50 the last H % 8 columns of each 16-row block run across rows.
 void expect_rows_bit_identical_to_predict(
     std::initializer_list<std::size_t> widths) {
-  for (const std::size_t units : {13, 16, 50}) {
+  for (const std::size_t units : {8, 13, 16, 25, 50}) {
     ForecasterConfig cfg = small_config();
     cfg.lstm_units = units;
     Rng rng(7 + units);
@@ -75,9 +77,10 @@ TEST(Engine, BatchOfOneBitIdenticalToPredict) {
 
 TEST(Engine, WideBatchRowsTrackPredictClosely) {
   // Wide batches share the batch-of-1 kernels, so "closely" is bitwise:
-  // odd and multi-tile widths exercise the row and column tails, and 3
-  // runs a 2-row and a 1-row remainder tile in one call.
-  expect_rows_bit_identical_to_predict({2, 3, 17, 64});
+  // odd and multi-tile widths exercise the row and column tails, 3 runs a
+  // 2-row and a 1-row remainder tile in one call, and 33 two 16-row gate
+  // blocks and a lone row.
+  expect_rows_bit_identical_to_predict({2, 3, 17, 33, 64});
 }
 
 TEST(Engine, RowResultsIndependentOfBatchComposition) {

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/lstm_kernels.hpp"
@@ -195,6 +199,107 @@ TEST(LstmKernels, NanPropagatesInSimdAndTailColumns) {
             << "gate " << gate << " col " << k;
         EXPECT_EQ(std::isnan(ct[k]), poisoned)
             << "gate " << gate << " col " << k;
+      }
+    }
+  }
+}
+
+/// Scalar reference of one step: every element through cell_scalar, the
+/// scalar tail's operations.
+template <bool kStore>
+void scalar_cell_rows(float* z, std::size_t zstride, float* c, float* hs,
+                      float* ct, std::size_t h, std::size_t rows) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t k = 0; k < h; ++k) {
+      detail::cell_scalar<kStore>(z + r * zstride, c + r * h, hs + r * h,
+                                  kStore ? ct + r * h : ct, h, k);
+    }
+  }
+}
+
+/// lstm_cell_rows against scalar_cell_rows at one shape, bit for bit.
+template <bool kStore>
+void expect_rows_kernel_matches_scalar(std::size_t h, std::size_t rows) {
+  SCOPED_TRACE("h " + std::to_string(h) + ", rows " + std::to_string(rows) +
+               (kStore ? ", store" : ", serve"));
+  // The serving layout's padded stride for kStore = false, like the engine.
+  const std::size_t zstride = kStore ? 4 * h : (4 * h + 15) / 16 * 16;
+  Rng rng(100 + h * 64 + rows);
+  std::vector<float> z(rows * zstride), c(rows * h);
+  for (float& v : z) v = rng.uniform(-6.0f, 6.0f);
+  for (float& v : c) v = rng.uniform(-2.0f, 2.0f);
+  std::vector<float> z_ref = z, c_ref = c;
+  std::vector<float> hs(rows * h), hs_ref(rows * h);
+  std::vector<float> ct(rows * h), ct_ref(rows * h);
+  lstm_cell_rows<kStore>(z.data(), zstride, c.data(), hs.data(),
+                         kStore ? ct.data() : nullptr, h, rows);
+  scalar_cell_rows<kStore>(z_ref.data(), zstride, c_ref.data(),
+                           hs_ref.data(), kStore ? ct_ref.data() : nullptr, h,
+                           rows);
+  // Bitwise: EXPECT_EQ on the vectors would also pass -0 == +0.
+  const auto same_bits = [](const std::vector<float>& a,
+                            const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](float x, float y) {
+             std::uint32_t ux, uy;
+             std::memcpy(&ux, &x, sizeof ux);
+             std::memcpy(&uy, &y, sizeof uy);
+             return ux == uy;
+           });
+  };
+  EXPECT_TRUE(same_bits(hs, hs_ref));
+  EXPECT_TRUE(same_bits(c, c_ref));
+  EXPECT_TRUE(same_bits(z, z_ref));
+  EXPECT_TRUE(same_bits(ct, ct_ref));
+}
+
+TEST(LstmKernels, RowsKernelMatchesScalarOnEveryPath) {
+  // Where the target has AVX-512F, lstm_cell_rows runs 16-lane groups,
+  // 8-lane groups, row pairs (H % 16 >= 8, see pair_rows), 16-row blocks
+  // whose H % 8 last columns run across rows, and lone rows; every
+  // element must get the scalar tail's bits on each.  H: 1 and 7 only
+  // scalar, 8 and 9 pairs, 13 a block with 5 columns across rows, 16
+  // one 16-lane group, 24/25 16 + 8 (+ 1), 29 16 + 8 + 5, 40 paired after
+  // two 16-lane groups, 50 the paper's 3·16 + 2.  Rows: 1 and 2 (no
+  // block), 15, 16, 17 (a block and a lone row), 35 (two blocks, a pair
+  // where pairs run, and a lone row).
+  for (const std::size_t h : {1, 7, 8, 9, 13, 16, 24, 25, 29, 40, 50}) {
+    for (const std::size_t rows : {1, 2, 15, 16, 17, 35}) {
+      expect_rows_kernel_matches_scalar<true>(h, rows);
+      expect_rows_kernel_matches_scalar<false>(h, rows);
+    }
+  }
+}
+
+TEST(LstmKernels, NanPropagatesThroughEveryRowPath) {
+  // H = 25 (16 + 8 + 1), 19 rows: rows 0-15 a block (column 24 across
+  // rows), rows 16-17 a pair, row 18 alone.  A NaN pre-activation in a
+  // 16-lane group, an 8-lane group of a block row and of the pair, the
+  // across-rows column and the lone row's tail must come out NaN there
+  // and nowhere else.
+  const std::size_t h = 25, rows = 19, zstride = 4 * h;
+  const std::vector<std::pair<std::size_t, std::size_t>> poisoned = {
+      {0, 3}, {5, 24}, {9, 20}, {17, 20}, {16, 1}, {18, 10}, {18, 24}};
+  for (std::size_t gate = 0; gate < 4; ++gate) {
+    std::vector<float> z(rows * zstride, 0.25f), c(rows * h, 0.5f);
+    std::vector<float> hs(rows * h), ct(rows * h);
+    for (const auto& [r, k] : poisoned) {
+      z[r * zstride + gate * h + k] = std::nanf("");
+    }
+    lstm_cell_rows<true>(z.data(), zstride, c.data(), hs.data(), ct.data(),
+                         h, rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t k = 0; k < h; ++k) {
+        const bool nan = std::find(poisoned.begin(), poisoned.end(),
+                                   std::make_pair(r, k)) != poisoned.end();
+        EXPECT_EQ(std::isnan(hs[r * h + k]), nan)
+            << "gate " << gate << " row " << r << " col " << k;
+        EXPECT_EQ(std::isnan(z[r * zstride + gate * h + k]), nan)
+            << "gate " << gate << " row " << r << " col " << k;
+        if (gate != 3) {  // the output gate does not feed the cell
+          EXPECT_EQ(std::isnan(c[r * h + k]), nan)
+              << "gate " << gate << " row " << r << " col " << k;
+        }
       }
     }
   }

@@ -361,9 +361,11 @@ TEST(BlockedMatmul, EightRowTilesMatchNaiveAcrossThreadCounts) {
   // 8-row groups and a 2-row remainder.  n = 17, 25, 50 and 200 end every
   // row block in a masked tail.  m = 1 is a lone row and m = 0 an empty
   // range, which must leave C as it is.  The 4-thread partition cuts the
-  // row groups at other places than the serial run does.
+  // row groups at other places than the serial run does.  n = 8, 13 and
+  // 16 run the 8-lane 8 × 16 tiles that targets with 16 lanes use for
+  // whole 8-row groups up to 16 columns (8 × 8, masked 8 × 16, 8 × 16).
   for (const std::size_t m : {0, 1, 8, 12, 13, 15, 50}) {
-    for (const std::size_t n : {17, 25, 50, 200}) {
+    for (const std::size_t n : {8, 13, 16, 17, 25, 50, 200}) {
       SCOPED_TRACE("m " + std::to_string(m) + ", n " + std::to_string(n));
       const std::size_t k = 19;
       const Matrix a = random_sparse_matrix(m, k, 90 + m * n);
@@ -568,10 +570,11 @@ class ReferenceLstm {
 
 /// Forward, BPTT and three Adam steps of nn::Lstm against ReferenceLstm at
 /// one shape, every output, gradient and weight compared bit for bit.
-void expect_lstm_matches_reference(std::size_t units, std::size_t in) {
+void expect_lstm_matches_reference(std::size_t units, std::size_t in,
+                                   std::size_t n = 70) {
   SCOPED_TRACE("units " + std::to_string(units) + ", input " +
-               std::to_string(in));
-  const std::size_t n = 70, t = 5;
+               std::to_string(in) + ", batch " + std::to_string(n));
+  const std::size_t t = 5;
   Rng rng_new(42), rng_ref(42);
   nn::Lstm lstm(units, /*return_sequences=*/false, rng_new, in);
   ReferenceLstm ref(units, rng_ref, in);
@@ -624,27 +627,42 @@ TEST(LstmBitIdentity, FusedPathMatchesSeedAlgorithmOverTrainingSteps) {
   // masked multi-vector tiles at 25 and 50 columns, and xᵀ·dZ has 25 rows.
   expect_lstm_matches_reference(40, 3);
   expect_lstm_matches_reference(50, 25);
+  // Where the target has AVX-512F: the fleet leaf's units 8 run every row
+  // pair-wise (forward and gate gradients), and at units 25 the forward
+  // runs two 16-row blocks with column 24 across rows, then two row pairs
+  // with their scalar tails, while the gate gradients run 18 pairs.  In
+  // both, the 37th row runs alone; one input feature takes the strided
+  // timestep copy and the 8-row 8-lane tiles of dZ·Wxᵀ (n = 1).
+  expect_lstm_matches_reference(8, 1, 37);
+  expect_lstm_matches_reference(25, 1, 37);
 }
 
 TEST(LstmBitIdentity, BatchRowMatchesRowForwardedAlone) {
-  // Row i of a 70-row forward (4-row tiles plus a 2-row tail) equals that
-  // row forwarded alone, at every timestep.  H = 13 puts gate columns in
-  // an 8-wide SIMD group and in the scalar tail.
-  const std::size_t units = 13, in = 3, n = 70, t = 5;
-  Rng rng(42);
-  nn::Lstm lstm(units, /*return_sequences=*/true, rng, in);
-  Rng data_rng(9);
-  Tensor3 x(n, t, in);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x.data()[i] = data_rng.uniform(-1, 1);
-  }
-  const Tensor3 whole = lstm.forward(x, /*training=*/false);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Tensor3 alone = lstm.forward(x.batch_slice(i, i + 1), false);
-    for (std::size_t s = 0; s < t; ++s) {
-      for (std::size_t c = 0; c < units; ++c) {
-        ASSERT_EQ(whole(i, s, c), alone(0, s, c))
-            << "row " << i << " step " << s << " unit " << c;
+  // Row i of a 71-row forward (8-row GEMM tiles plus 4-, 2- and 1-row
+  // ones) equals that row forwarded alone, at every timestep, whether its
+  // gates ran paired, across rows or alone.  H = 13 puts gate columns in
+  // an 8-wide SIMD group and in the scalar tail (where the target has
+  // AVX-512F, rows 0-63 in 16-row blocks with 5 columns across rows);
+  // H = 8 runs rows in pairs and the 71st alone; H = 25 runs four blocks
+  // (column 24 across rows), three pairs and a lone row.
+  for (const std::size_t units : {13, 8, 25}) {
+    SCOPED_TRACE("units " + std::to_string(units));
+    const std::size_t in = 3, n = 71, t = 5;
+    Rng rng(42);
+    nn::Lstm lstm(units, /*return_sequences=*/true, rng, in);
+    Rng data_rng(9);
+    Tensor3 x(n, t, in);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = data_rng.uniform(-1, 1);
+    }
+    const Tensor3 whole = lstm.forward(x, /*training=*/false);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Tensor3 alone = lstm.forward(x.batch_slice(i, i + 1), false);
+      for (std::size_t s = 0; s < t; ++s) {
+        for (std::size_t c = 0; c < units; ++c) {
+          ASSERT_EQ(whole(i, s, c), alone(0, s, c))
+              << "row " << i << " step " << s << " unit " << c;
+        }
       }
     }
   }
