@@ -9,11 +9,6 @@ namespace evfl::nn {
 
 namespace {
 
-#if defined(__AVX512F__)
-using detail::Contiguous16;
-using detail::RowPair;
-#endif
-
 /// Reshape `m` to [rows x cols] only when needed, preserving storage (and
 /// thus avoiding an allocation) when the shape already matches.
 void ensure_shape(Matrix& m, std::size_t rows, std::size_t cols) {
@@ -28,55 +23,6 @@ void transpose_into(const Matrix& src, Matrix& dst) {
     for (std::size_t c = 0; c < src.cols(); ++c) dst(c, r) = row[c];
   }
 }
-
-/// Column k of lstm_grad_row's scalar tail.
-inline void grad_scalar(const float* z, const float* cp, const float* ct,
-                        const float* dh, float* dc, float* dz, std::size_t h,
-                        std::size_t k) {
-  const float i = z[k], f = z[h + k], g = z[2 * h + k], o = z[3 * h + k];
-  const float t = ct[k];
-  const float dck = dh[k] * o * (1.0f - t * t) + dc[k];
-  dz[k] = dck * g * i * (1.0f - i);
-  dz[h + k] = dck * cp[k] * f * (1.0f - f);
-  dz[2 * h + k] = dck * i * (1.0f - g * g);
-  dz[3 * h + k] = dh[k] * t * o * (1.0f - o);
-  dc[k] = dck * f;
-}
-
-#if defined(__AVX512F__)
-/// 16 elements of lstm_grad_row at column k: `za` reaches the elements of
-/// z and dz, `ca` those of cp, ct, dh and dc (lstm_kernels.hpp's access
-/// forms).  Operator for operator the scalar tail's expressions, all
-/// evaluated between the last load and the first store: GCC treats the
-/// masked load and store builtins of the row-pair form as calls that may
-/// throw, each one ends a basic block, and GCC contracts a·b + c only
-/// within one.
-template <typename ZA, typename CA>
-inline void grad_step16(const ZA& za, const CA& ca, const float* z,
-                        const float* cp, const float* ct, const float* dh,
-                        float* dc, float* dz, std::size_t h, std::size_t k) {
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 i = za.load(z + k);
-  const __m512 f = za.load(z + h + k);
-  const __m512 g = za.load(z + 2 * h + k);
-  const __m512 o = za.load(z + 3 * h + k);
-  const __m512 c = ca.load(cp + k);
-  const __m512 t = ca.load(ct + k);
-  const __m512 d = ca.load(dh + k);
-  const __m512 dcn = ca.load(dc + k);
-  const __m512 dck = d * o * (one - t * t) + dcn;
-  const __m512 dzi = dck * g * i * (one - i);
-  const __m512 dzf = dck * c * f * (one - f);
-  const __m512 dzg = dck * i * (one - g * g);
-  const __m512 dzo = d * t * o * (one - o);
-  const __m512 dcf = dck * f;
-  za.store(dz + k, dzi);
-  za.store(dz + h + k, dzf);
-  za.store(dz + 2 * h + k, dzg);
-  za.store(dz + 3 * h + k, dzo);
-  ca.store(dc + k, dcf);
-}
-#endif
 
 /// One row of an LSTM step's gate gradients, from the row's activated
 /// gates z = [i | f | g | o], c_prev, tanh(c) and dh:
@@ -94,8 +40,21 @@ void lstm_grad_row(const float* z, const float* cp, const float* ct,
                    const float* dh, float* dc, float* dz, std::size_t h) {
   std::size_t k = 0;
 #if defined(__AVX512F__)
+  const __m512 one16 = _mm512_set1_ps(1.0f);
   for (; k + 16 <= h; k += 16) {
-    grad_step16(Contiguous16{}, Contiguous16{}, z, cp, ct, dh, dc, dz, h, k);
+    const __m512 i = _mm512_loadu_ps(z + k);
+    const __m512 f = _mm512_loadu_ps(z + h + k);
+    const __m512 g = _mm512_loadu_ps(z + 2 * h + k);
+    const __m512 o = _mm512_loadu_ps(z + 3 * h + k);
+    const __m512 c = _mm512_loadu_ps(cp + k);
+    const __m512 t = _mm512_loadu_ps(ct + k);
+    const __m512 d = _mm512_loadu_ps(dh + k);
+    const __m512 dck = d * o * (one16 - t * t) + _mm512_loadu_ps(dc + k);
+    _mm512_storeu_ps(dz + k, dck * g * i * (one16 - i));
+    _mm512_storeu_ps(dz + h + k, dck * c * f * (one16 - f));
+    _mm512_storeu_ps(dz + 2 * h + k, dck * i * (one16 - g * g));
+    _mm512_storeu_ps(dz + 3 * h + k, d * t * o * (one16 - o));
+    _mm512_storeu_ps(dc + k, dck * f);
   }
 #endif
 #if defined(__AVX2__) && defined(__FMA__)
@@ -116,49 +75,15 @@ void lstm_grad_row(const float* z, const float* cp, const float* ct,
     _mm256_storeu_ps(dc + k, dck * f);
   }
 #endif
-  for (; k < h; ++k) grad_scalar(z, cp, ct, dh, dc, dz, h, k);
-}
-
-/// The gate gradients of a BPTT step's `rows` rows (lstm_grad_row's
-/// arguments, row r's at offset r·4H in z and dz and r·H in the rest).
-/// Where the target has AVX-512F and detail::pair_rows(h), rows run in
-/// pairs: each row's 16-lane groups, then the two rows' 8-lane groups as
-/// the halves of one vector, then each row's scalar tail.  A lone last
-/// row runs alone.
-void lstm_grad_rows(const float* z, const float* cp, const float* ct,
-                    const float* dh, float* dc, float* dz, std::size_t h,
-                    std::size_t rows) {
-  const std::size_t zs = 4 * h;
-  std::size_t r = 0;
-#if defined(__AVX512F__)
-  if (detail::pair_rows(h)) {
-    const std::size_t k8 = h / 16 * 16;
-    for (; r + 2 <= rows; r += 2) {
-      const float* z0 = z + r * zs;
-      const float* cp0 = cp + r * h;
-      const float* ct0 = ct + r * h;
-      const float* dh0 = dh + r * h;
-      float* dc0 = dc + r * h;
-      float* dz0 = dz + r * zs;
-      for (std::size_t k = 0; k < k8; k += 16) {
-        grad_step16(Contiguous16{}, Contiguous16{}, z0, cp0, ct0, dh0, dc0,
-                    dz0, h, k);
-        grad_step16(Contiguous16{}, Contiguous16{}, z0 + zs, cp0 + h,
-                    ct0 + h, dh0 + h, dc0 + h, dz0 + zs, h, k);
-      }
-      grad_step16(RowPair{zs}, RowPair{h}, z0, cp0, ct0, dh0, dc0, dz0, h,
-                  k8);
-      for (std::size_t k = k8 + 8; k < h; ++k) {
-        grad_scalar(z0, cp0, ct0, dh0, dc0, dz0, h, k);
-        grad_scalar(z0 + zs, cp0 + h, ct0 + h, dh0 + h, dc0 + h, dz0 + zs, h,
-                    k);
-      }
-    }
-  }
-#endif
-  for (; r < rows; ++r) {
-    lstm_grad_row(z + r * zs, cp + r * h, ct + r * h, dh + r * h, dc + r * h,
-                  dz + r * zs, h);
+  for (; k < h; ++k) {
+    const float i = z[k], f = z[h + k], g = z[2 * h + k], o = z[3 * h + k];
+    const float t = ct[k];
+    const float dck = dh[k] * o * (1.0f - t * t) + dc[k];
+    dz[k] = dck * g * i * (1.0f - i);
+    dz[h + k] = dck * cp[k] * f * (1.0f - f);
+    dz[2 * h + k] = dck * i * (1.0f - g * g);
+    dz[3 * h + k] = dh[k] * t * o * (1.0f - o);
+    dc[k] = dck * f;
   }
 }
 
@@ -295,8 +220,10 @@ Tensor3 Lstm::backward(const Tensor3& grad_output, bool input_grad) {
 
     // dc and the gate pre-activation gradients, written straight into the
     // fused dZ [N, 4H] blocks; bwd_dc_next_ turns into dc ⊙ f on the way.
-    lstm_grad_rows(sc.z.data(), sc.c_prev.data(), sc.c_tanh.data(),
-                   bwd_dh_.data(), bwd_dc_next_.data(), bwd_dz_.data(), h, n);
+    for (std::size_t r = 0; r < n; ++r) {
+      lstm_grad_row(sc.z.row(r), sc.c_prev.row(r), sc.c_tanh.row(r),
+                    bwd_dh_.row(r), bwd_dc_next_.row(r), bwd_dz_.row(r), h);
+    }
 
     matmul_tn_acc(sc.x, bwd_dz_, gwx_);       // gWx += xᵀ · dZ
     matmul_tn_acc(sc.h_prev, bwd_dz_, gwh_);  // gWh += h_prevᵀ · dZ

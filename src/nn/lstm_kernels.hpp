@@ -288,14 +288,16 @@ inline void lstm_cell_row(float* z, float* c, float* hs, float* ct,
 
 namespace detail {
 
-/// Whether a step's rows run in pairs (cell_pair, and the gate-gradient
-/// rows of nn/lstm.cpp): where h % 16 >= 8 a row ends in one 8-lane
-/// group, and two rows' groups fill a 16-lane vector.  Below 16 columns a
-/// pair followed by a scalar tail of two or more columns measured slower
-/// than two rows alone (H = 10-15, 32 rows: 1.2-1.5x the row path's time,
-/// forward and gradient), so those run the row path.
-constexpr bool pair_rows(std::size_t h) {
-  return h % 16 >= 8 && (h > 16 || h % 8 <= 1);
+/// Whether a step's rows run in pairs (cell_pair): where h % 16 >= 8 a
+/// row ends in one 8-lane group, and two rows' groups fill a 16-lane
+/// vector.  `tail` says whether each row's scalar tail follows the pair.
+/// Below 16 columns a pair followed by a scalar tail of two or more
+/// columns measured slower than two rows alone (H = 10-15, 32 rows:
+/// 1.2-1.5x the row path's time), so outside 16-row blocks those rows run
+/// the row path.  In a block, whose tail columns run across rows, pairs
+/// at those H take 0.5-0.65x the time of the rows' 8-lane groups alone.
+constexpr bool pair_rows(std::size_t h, bool tail) {
+  return h % 16 >= 8 && (!tail || h > 16 || h % 8 <= 1);
 }
 
 /// Two adjacent rows where h % 16 >= 8: each row's 16-lane groups, then
@@ -324,16 +326,16 @@ inline void cell_pair(float* z, std::size_t zstride, float* c, float* hs,
   }
 }
 
-/// 16 rows where h % 8 != 0: each row's (or, where h % 16 >= 8, each row
-/// pair's) whole 8-lane groups, then each of the h % 8 columns after them
-/// as one vector down the 16 rows.
+/// 16 rows where h % 8 != 0: each row's (or, where pair_rows(h, false),
+/// each row pair's) whole 8-lane groups, then each of the h % 8 columns
+/// after them as one vector down the 16 rows.
 template <bool kStore>
 inline void cell_block16(float* z, std::size_t zstride, float* c, float* hs,
                          float* ct, std::size_t h, const AcrossRows& zrows,
                          const AcrossRows& crows) {
   for (std::size_t r = 0; r < 16;) {
     float* ctr = kStore ? ct + r * h : ct;
-    if (h % 16 >= 8) {
+    if (pair_rows(h, false)) {
       cell_pair<kStore, false>(z + r * zstride, zstride, c + r * h,
                                hs + r * h, ctr, h);
       r += 2;
@@ -349,8 +351,8 @@ inline void cell_block16(float* z, std::size_t zstride, float* c, float* hs,
 }
 
 /// The multi-row paths of lstm_cell_rows: whole 16-row blocks where
-/// h % 8 != 0, then row pairs where pair_rows(h).  Returns the first row
-/// they leave.  Kept out of line so that the one-row steps of batch-1
+/// h % 8 != 0, then row pairs where pair_rows(h, true).  Returns the first
+/// row they leave.  Kept out of line so that the one-row steps of batch-1
 /// predict do not carry this code around their loop: inlined, it slowed
 /// `Sequential::predict` of the fleet leaf (H = 8, one row) by 2%.
 template <bool kStore>
@@ -367,7 +369,7 @@ template <bool kStore>
                            kStore ? ct + r * h : ct, h, zrows, crows);
     }
   }
-  if (pair_rows(h)) {
+  if (pair_rows(h, true)) {
     for (; r + 2 <= rows; r += 2) {
       cell_pair<kStore, true>(z + r * zstride, zstride, c + r * h, hs + r * h,
                               kStore ? ct + r * h : ct, h);
@@ -388,7 +390,8 @@ template <bool kStore>
 ///  - with h % 8 != 0, whole blocks of 16 rows run as cell_block16, so the
 ///    h % 8 columns after the last 8-lane group run across rows instead of
 ///    one element at a time;
-///  - where pair_rows(h), the remaining rows run in pairs (cell_pair);
+///  - where pair_rows(h, true), the remaining rows run in pairs
+///    (cell_pair);
 /// and the rows left run lstm_cell_row alone.
 template <bool kStore>
 inline void lstm_cell_rows(float* z, std::size_t zstride, float* c, float* hs,

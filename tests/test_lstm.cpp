@@ -258,7 +258,8 @@ TEST(LstmKernels, RowsKernelMatchesScalarOnEveryPath) {
   // 8-lane groups, row pairs (H % 16 >= 8, see pair_rows), 16-row blocks
   // whose H % 8 last columns run across rows, and lone rows; every
   // element must get the scalar tail's bits on each.  H: 1 and 7 only
-  // scalar, 8 and 9 pairs, 13 a block with 5 columns across rows, 16
+  // scalar, 8 and 9 pairs, 13 pairs inside a block with 5 columns across
+  // rows and the row path outside blocks, 16
   // one 16-lane group, 24/25 16 + 8 (+ 1), 29 16 + 8 + 5, 40 paired after
   // two 16-lane groups, 50 the paper's 3·16 + 2.  Rows: 1 and 2 (no
   // block), 15, 16, 17 (a block and a lone row), 35 (two blocks, a pair

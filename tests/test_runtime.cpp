@@ -627,12 +627,12 @@ TEST(LstmBitIdentity, FusedPathMatchesSeedAlgorithmOverTrainingSteps) {
   // masked multi-vector tiles at 25 and 50 columns, and xᵀ·dZ has 25 rows.
   expect_lstm_matches_reference(40, 3);
   expect_lstm_matches_reference(50, 25);
-  // Where the target has AVX-512F: the fleet leaf's units 8 run every row
-  // pair-wise (forward and gate gradients), and at units 25 the forward
-  // runs two 16-row blocks with column 24 across rows, then two row pairs
-  // with their scalar tails, while the gate gradients run 18 pairs.  In
-  // both, the 37th row runs alone; one input feature takes the strided
-  // timestep copy and the 8-row 8-lane tiles of dZ·Wxᵀ (n = 1).
+  // Where the target has AVX-512F: the fleet leaf's units 8 run every
+  // forward row pair-wise, and at units 25 the forward runs two 16-row
+  // blocks with column 24 across rows, then two row pairs with their
+  // scalar tails; in both the 37th row runs alone, and the gate gradients
+  // run row by row.  One input feature takes the strided timestep copy
+  // and the 8-row 8-lane tiles of dZ·Wxᵀ (n = 1).
   expect_lstm_matches_reference(8, 1, 37);
   expect_lstm_matches_reference(25, 1, 37);
 }
