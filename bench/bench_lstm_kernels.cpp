@@ -2,7 +2,9 @@
 // a forecaster training step at batch 32, seq 24, hidden 64; the two
 // forecaster shapes perfbench trains (the paper's LSTM 50 -> Dense 10 ->
 // Dense 1 at seq 24, and fleet_rounds' leaf LSTM 8 -> Dense 4 -> Dense 1
-// at seq 12, both at batch 32); and one training step of the paper's LSTM
+// at seq 12, both at batch 32), each also as a one-window predict, and the
+// leaf's ragged epoch tail (a 32-row then a 20-row step: its 84 windows
+// run as 32 + 32 + 20); and one training step of the paper's LSTM
 // autoencoder (anomaly::LstmAutoencoder: LSTM 50 -> 25, RepeatVector,
 // 25 -> 50, both Dropout(0.2) layers, window 24): step throughput plus
 // *heap allocations per step* — the metric the workspace/fused-kernel work
@@ -12,6 +14,7 @@
 //   bench_lstm_kernels                 # full run, prints + writes JSON
 //   bench_lstm_kernels --check-allocs  # short run; exit 1 if the steady
 //                                      # state still allocates
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -126,6 +129,55 @@ StepStats bench_forecaster_step(const forecast::ForecasterConfig& mc,
   return stats;
 }
 
+/// One Sequential::predict of a single window: the request perfbench's
+/// paper_pipeline serves after every round.
+StepStats bench_forecaster_predict1(const forecast::ForecasterConfig& mc,
+                                    std::uint64_t seed, std::size_t warmup,
+                                    std::size_t iters,
+                                    obs::Histogram* latency) {
+  Rng rng(seed);
+  nn::Sequential model = forecast::make_forecaster(mc, rng);
+  Tensor3 x(1, mc.sequence_length, mc.input_features);
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.uniform(0, 1);
+
+  const auto step = [&] {
+    const Tensor3 y = model.predict(x);
+    if (!std::isfinite(y.data()[0])) std::abort();
+  };
+  const StepStats stats = measure(warmup, iters, step);
+  sample_latency(latency, step);
+  return stats;
+}
+
+/// Two Trainer::train_batch calls, 32 rows then 20: the last two batches
+/// of an epoch over 84 windows, where every layer's retained buffers
+/// change shape twice per step.
+StepStats bench_ragged_step(const forecast::ForecasterConfig& mc,
+                            std::uint64_t seed, std::size_t warmup,
+                            std::size_t iters, obs::Histogram* latency) {
+  Rng rng(seed);
+  nn::Sequential model = forecast::make_forecaster(mc, rng);
+  nn::MseLoss loss;
+  nn::Adam opt(mc.learning_rate);
+  nn::Trainer trainer(model, loss, opt, rng);
+
+  Tensor3 x32(32, mc.sequence_length, mc.input_features), y32(32, 1, 1);
+  Tensor3 x20(20, mc.sequence_length, mc.input_features), y20(20, 1, 1);
+  for (Tensor3* t : {&x32, &y32, &x20, &y20}) {
+    for (std::size_t i = 0; i < t->size(); ++i) {
+      t->data()[i] = rng.uniform(0, 1);
+    }
+  }
+
+  const auto step = [&] {
+    const float l = trainer.train_batch(x32, y32) + trainer.train_batch(x20, y20);
+    if (!(l >= 0.0f)) std::abort();
+  };
+  const StepStats stats = measure(warmup, iters, step);
+  sample_latency(latency, step);
+  return stats;
+}
+
 /// The hidden-64 forecaster `train_step` has always timed: LSTM 64,
 /// Dense 8, seq 24.
 forecast::ForecasterConfig hidden64_forecaster() {
@@ -174,7 +226,7 @@ StepStats bench_ae_train_step(std::size_t warmup, std::size_t iters,
 }
 
 void print_stats(const char* name, const StepStats& s) {
-  std::printf("%-22s %10.1f steps/s   %8.1f allocs/step   %10.0f B/step\n",
+  std::printf("%-26s %10.1f steps/s   %8.1f allocs/step   %10.0f B/step\n",
               name, s.steps_per_sec, s.allocs_per_step, s.bytes_per_step);
 }
 
@@ -222,6 +274,8 @@ int main(int argc, char** argv) {
 
   const std::size_t warmup = check_allocs ? 3 : 10;
   const std::size_t iters = check_allocs ? 5 : 200;
+  // A one-window predict takes 1-15 us, a training step 20 us to 4 ms.
+  const std::size_t predict_iters = check_allocs ? 5 : 20000;
   std::vector<Row> rows = {
       {"lstm_fwd_bwd", "lstm_fwd_bwd_step_seconds",
        [&](obs::Histogram* h) { return bench_lstm_fwd_bwd(warmup, iters, h); }},
@@ -237,6 +291,20 @@ int main(int argc, char** argv) {
       {"fleet_leaf_step", "fleet_leaf_step_seconds",
        [&](obs::Histogram* h) {
          return bench_forecaster_step(fleet_leaf(), 5, warmup, iters, h);
+       }},
+      {"fleet_leaf_ragged_step", "fleet_leaf_ragged_step_seconds",
+       [&](obs::Histogram* h) {
+         return bench_ragged_step(fleet_leaf(), 6, warmup, iters, h);
+       }},
+      {"paper_forecaster_predict1", "paper_forecaster_predict1_seconds",
+       [&](obs::Histogram* h) {
+         return bench_forecaster_predict1(paper_forecaster(), 7, warmup,
+                                          predict_iters, h);
+       }},
+      {"fleet_leaf_predict1", "fleet_leaf_predict1_seconds",
+       [&](obs::Histogram* h) {
+         return bench_forecaster_predict1(fleet_leaf(), 8, warmup,
+                                          predict_iters, h);
        }},
       {"ae_train_step", "ae_train_step_seconds",
        [&](obs::Histogram* h) {

@@ -223,10 +223,15 @@ void IncrementalThreshold::observe_p2(float score) {
 float IncrementalThreshold::percentile_value() const {
   if (count_ < 5) {
     // Exact small-sample percentile over the observed prefix (markers hold
-    // the raw values until the fifth observation sorts them).
+    // the raw values until the fifth observation sorts them).  An insertion
+    // sort of the at most four values: std::sort inlined here draws a false
+    // GCC 12 -Warray-bounds under ASan/UBSan on its 16-element path.
     std::array<double, 5> sorted{};
-    std::copy(q_.begin(), q_.begin() + count_, sorted.begin());
-    std::sort(sorted.begin(), sorted.begin() + count_);
+    for (std::size_t i = 0; i < count_; ++i) {
+      std::size_t j = i;
+      for (; j > 0 && sorted[j - 1] > q_[i]; --j) sorted[j] = sorted[j - 1];
+      sorted[j] = q_[i];
+    }
     if (count_ == 1) return static_cast<float>(sorted[0]);
     const double rank =
         rule_.param / 100.0 * static_cast<double>(count_ - 1);

@@ -1,7 +1,9 @@
 #include "fl/fedavg.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <string>
 
@@ -9,11 +11,6 @@
 
 namespace evfl::fl {
 namespace {
-
-// 2^64 as a double — exact (power of two), so the multiply below only
-// rescales the exponent and the truncating cast supplies the one rounding
-// step.  Faster than std::ldexp in the hot per-element loop.
-constexpr double kFixedScale = 18446744073709551616.0;
 
 // ±2^114: wire-term clamp bound.
 constexpr ExactTerm kWireTermCap = static_cast<ExactTerm>(1) << 114;
@@ -48,13 +45,30 @@ ExactTerm clamp_wire_term(ExactTerm t) {
 }
 
 ExactTerm to_fixed(double term) {
-  // NaN would be UB on the integer cast; map it to zero deterministically.
-  // The validator rejects non-finite updates before they reach aggregation,
+  // NaN has no fixed-point value; map it to zero deterministically.  The
+  // validator rejects non-finite updates before they reach aggregation,
   // so this only matters when validation is explicitly disabled.
   if (std::isnan(term)) return 0;
   if (term > kExactTermCap) term = kExactTermCap;
   if (term < -kExactTermCap) term = -kExactTermCap;
-  return static_cast<ExactTerm>(term * kFixedScale);  // truncates toward zero
+  // term·2^64 truncated toward zero, read off the double's fields: a cast
+  // to __int128 is a libgcc call (__fixdfti) per term, and every edge
+  // offer converts every weight.  A normal |term| is
+  // (2^52 + mantissa)·2^(exponent − 1075), so its fixed-point magnitude is
+  // that 53-bit integer shifted by exponent − 1011: left by at most 52
+  // under the cap, right (dropping the fraction) below 2^-12, and 0 from
+  // 64 places right, which covers ±0 and the subnormals.
+  const auto bits = std::bit_cast<std::uint64_t>(term);
+  const int shift = static_cast<int>((bits >> 52) & 0x7FF) - 1011;
+  const std::uint64_t mantissa =
+      (bits & ((std::uint64_t{1} << 52) - 1)) | (std::uint64_t{1} << 52);
+  ExactTerm magnitude = 0;
+  if (shift >= 0) {
+    magnitude = static_cast<ExactTerm>(mantissa) << shift;
+  } else if (shift > -64) {
+    magnitude = static_cast<ExactTerm>(mantissa >> -shift);
+  }
+  return (bits >> 63) != 0 ? -magnitude : magnitude;
 }
 
 void FedAccumulator::reset(std::size_t dim) {

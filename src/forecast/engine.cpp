@@ -1,6 +1,5 @@
 #include "forecast/engine.hpp"
 
-#include <cmath>
 #include <cstring>
 #include <thread>
 
@@ -19,34 +18,6 @@ using tensor::MatView;
 
 /// Snapshot row stride granule: 16 floats, one 64-byte cache line.
 constexpr std::size_t kLineFloats = 16;
-
-/// z[r][0..zstride) = b_pad + Σ_f x[r][f]·wx_pad[f] in a single pass:
-/// each element starts from its bias and takes one fused multiply-add per
-/// input feature in ascending order — the sequence Lstm::forward runs
-/// through tensor::matmul_acc.  Padding columns are zero in b_pad/wx_pad,
-/// so the z padding is always a defined 0.  One pass over z, where a bias
-/// copy followed by matmul_acc takes two and measured 2.5–7x slower.
-void fused_init_z(float* z, std::size_t zstride, std::size_t nb,
-                  const float* xrow0, std::size_t xrow_stride, std::size_t in,
-                  const std::vector<float>& b_pad,
-                  const std::vector<float>& wx_pad) {
-  for (std::size_t r = 0; r < nb; ++r) {
-    float* zr = z + r * zstride;
-    const float* xr = xrow0 + r * xrow_stride;
-    const float x0 = xr[0];
-    const float* w0 = wx_pad.data();
-    for (std::size_t c = 0; c < zstride; ++c) {
-      zr[c] = std::fma(x0, w0[c], b_pad[c]);
-    }
-    for (std::size_t f = 1; f < in; ++f) {
-      const float xv = xr[f];
-      const float* wf = wx_pad.data() + f * zstride;
-      for (std::size_t c = 0; c < zstride; ++c) {
-        zr[c] = std::fma(xv, wf[c], zr[c]);
-      }
-    }
-  }
-}
 
 /// Copy the row-major rows x cols block `src` into `m`, shaped rows x
 /// stride (stride >= cols; the columns past cols stay zero).  Capacity is
@@ -212,14 +183,16 @@ void Engine::score_rows(const Snapshot& snap, const tensor::Tensor3& x,
   const MatView zv{z, nb, 4 * h, zstride};
   const float* x0 = x.data() + row_begin * t_len * in;
 
-  // Lstm::forward's step on the serving layout: z = b + x·Wx, z += h·Wh
-  // (both the per-element FMA sequence of tensor::matmul_acc), then the
-  // shared row loop of the gate kernel.
+  // Lstm::forward's step on the serving layout: the shared z-init
+  // z = b + x·Wx over the whole padded stride (the padding of b_pad and
+  // wx_pad is zero, so z's is too), z += h·Wh (the per-element FMA
+  // sequence of tensor::matmul_acc), then the shared row loop of the gate
+  // kernel, which updates c in place (cbuf as both c_prev and c).
   for (std::size_t t = 0; t < t_len; ++t) {
-    fused_init_z(z, zstride, nb, x0 + t * in, t_len * in, in, snap.b_pad,
-                 snap.wx_pad);
+    nn::fused_init_z(z, zstride, x0 + t * in, t_len * in, nb, in,
+                     snap.b_pad.data(), snap.wx_pad.data(), zstride);
     tensor::matmul_acc(hv, whv, zv);
-    nn::lstm_cell_rows<false>(z, zstride, cbuf, hbuf, nullptr, h, nb);
+    nn::lstm_cell_rows<false>(z, zstride, cbuf, cbuf, hbuf, nullptr, h, nb);
   }
 
   // Dense(d, relu) then Dense(1, linear): zero → matmul_acc → bias →

@@ -34,14 +34,10 @@ Tensor3 Dense::forward(const Tensor3& input, bool /*training*/) {
   cached_t_ = input.time();
   input.flatten_rows_into(cached_input_);
 
-  // Compute straight into the cached output; same-shape reuse means the
-  // steady state allocates nothing.
-  const std::size_t rows = cached_input_.rows();
-  if (cached_output_.rows() != rows || cached_output_.cols() != units_) {
-    cached_output_ = Matrix(rows, units_);
-  } else {
-    cached_output_.set_zero();
-  }
+  // Compute straight into the cached output, whose storage (like the
+  // cached input's) stays across batch sizes.
+  cached_output_.reshape(cached_input_.rows(), units_);
+  cached_output_.set_zero();
   matmul_acc(cached_input_, w_, cached_output_);
   cached_output_.add_row_broadcast(b_);
   apply_activation(activation_, cached_output_);

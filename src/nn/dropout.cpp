@@ -12,9 +12,7 @@ Tensor3 Dropout::forward(const Tensor3& input, bool training) {
     return input;
   }
   const float scale = 1.0f / (1.0f - rate_);
-  if (!mask_.same_shape(input)) {
-    mask_ = Tensor3(input.batch(), input.time(), input.features());
-  }
+  mask_.reshape(input.batch(), input.time(), input.features());
   // One keep decision per element, in element order: each is what
   // rng_->bernoulli(1 - rate) would have returned there.
   rng_->bernoulli_select(1.0 - rate_, scale, 0.0f, mask_.data(),

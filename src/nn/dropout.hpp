@@ -27,7 +27,7 @@ class Dropout : public Layer {
   float rate_;
   Rng* rng_;
   Tensor3 mask_;        // scaled keep mask from last training forward;
-                        // its storage is reused while the shape holds
+                        // its storage stays across batch sizes
   bool mask_valid_ = false;
 };
 

@@ -1,7 +1,5 @@
 #include "nn/lstm.hpp"
 
-#include <algorithm>
-
 #include "nn/lstm_kernels.hpp"
 #include "tensor/init.hpp"
 
@@ -9,15 +7,9 @@ namespace evfl::nn {
 
 namespace {
 
-/// Reshape `m` to [rows x cols] only when needed, preserving storage (and
-/// thus avoiding an allocation) when the shape already matches.
-void ensure_shape(Matrix& m, std::size_t rows, std::size_t cols) {
-  if (m.rows() != rows || m.cols() != cols) m = Matrix(rows, cols);
-}
-
-/// dst = srcᵀ, reusing dst's storage when its shape already matches.
+/// dst = srcᵀ, in dst's storage when srcᵀ fits in it.
 void transpose_into(const Matrix& src, Matrix& dst) {
-  ensure_shape(dst, src.cols(), src.rows());
+  dst.reshape(src.cols(), src.rows());
   for (std::size_t r = 0; r < src.rows(); ++r) {
     const float* row = src.row(r);
     for (std::size_t c = 0; c < src.cols(); ++c) dst(c, r) = row[c];
@@ -125,48 +117,54 @@ void Lstm::ensure_built(std::size_t input_features) {
 Tensor3 Lstm::forward(const Tensor3& input, bool /*training*/) {
   ensure_built(input.features());
   const std::size_t n = input.batch(), t_len = input.time(), h = units_;
+  const std::size_t in = input.features();
   EVFL_REQUIRE(t_len > 0, "Lstm forward needs time >= 1");
-  if (cached_n_ != n || cached_t_ != t_len || cached_in_ != input.features()) {
-    cache_.assign(t_len, StepCache{});
+  if (cached_n_ != n || cached_t_ != t_len || cached_in_ != in) {
+    cache_.resize(t_len);
+    for (StepCache& sc : cache_) {
+      sc.x.reshape(n, in);
+      sc.h.reshape(n, h);
+      sc.c.reshape(n, h);
+      sc.z.reshape(n, 4 * h);
+      sc.c_tanh.reshape(n, h);
+    }
+    zero_state_.reshape(n, h);
+    zero_state_.set_zero();
     cached_n_ = n;
     cached_t_ = t_len;
-    cached_in_ = input.features();
+    cached_in_ = in;
   }
-
-  ensure_shape(h_state_, n, h);
-  ensure_shape(c_state_, n, h);
-  h_state_.set_zero();
-  c_state_.set_zero();
   Tensor3 out_seq(n, return_sequences_ ? t_len : 1, h);
 
   for (std::size_t t = 0; t < t_len; ++t) {
     StepCache& sc = cache_[t];
+    // Step t − 1's cache holds this step's h_prev and c_prev.  Step 0 runs
+    // its h·Wh product on the zero block rather than skipping it, so its
+    // zeros keep the signs and a non-finite weight the NaN the product
+    // gives.
+    const Matrix& h_prev = t > 0 ? cache_[t - 1].h : zero_state_;
+    const Matrix& c_prev = t > 0 ? cache_[t - 1].c : zero_state_;
     input.copy_timestep_into(t, sc.x);
-    sc.h_prev = h_state_;  // same-shape copy: storage reused, no alloc
-    sc.c_prev = c_state_;
 
     // Fused pre-activation Z = b + x·Wx + h·Wh: each element starts from
-    // its bias and accumulates by FMA in ascending k (tensor/matrix.hpp).
-    ensure_shape(sc.z, n, 4 * h);
-    for (std::size_t r = 0; r < n; ++r) {
-      std::copy(b_.data(), b_.data() + 4 * h, sc.z.row(r));
-    }
-    matmul_acc(sc.x, wx_, sc.z);
-    matmul_acc(sc.h_prev, wh_, sc.z);
+    // its bias and accumulates by FMA in ascending k (tensor/matrix.hpp),
+    // through the z-init the serving engine runs too.
+    fused_init_z(sc.z.data(), 4 * h, sc.x.data(), in, n, in, b_.data(),
+                 wx_.data(), 4 * h);
+    matmul_acc(h_prev, wh_, sc.z);
 
     // Gates activated in place ([i | f | g | o] blocks of z, stride 4H),
     // c = f ⊙ c_prev + i ⊙ g, h = o ⊙ tanh(c), tanh(c) kept for BPTT —
     // the serving engine's row loop, so both paths produce the same bits.
-    sc.c_tanh = c_state_;  // takes c's shape in retained capacity
-    lstm_cell_rows<true>(sc.z.data(), 4 * h, c_state_.data(),
-                         h_state_.data(), sc.c_tanh.data(), h, n);
+    lstm_cell_rows<true>(sc.z.data(), 4 * h, c_prev.data(), sc.c.data(),
+                         sc.h.data(), sc.c_tanh.data(), h, n);
 
     if (return_sequences_) {
-      out_seq.set_timestep(t, h_state_);
+      out_seq.set_timestep(t, sc.h);
     }
   }
   if (!return_sequences_) {
-    out_seq.set_timestep(0, h_state_);
+    out_seq.set_timestep(0, cache_[t_len - 1].h);
   }
   return out_seq;
 }
@@ -190,11 +188,11 @@ Tensor3 Lstm::backward(const Tensor3& grad_output, bool input_grad) {
   Tensor3 dx;
   if (input_grad) {
     dx = Tensor3(n, t_len, cached_in_);
-    ensure_shape(bwd_dx_step_, n, cached_in_);
+    bwd_dx_step_.reshape(n, cached_in_);
   }
-  ensure_shape(bwd_dh_, n, h);        // dh_t: dZ·Whᵀ from step t+1, + grads
-  ensure_shape(bwd_dc_next_, n, h);   // dL/dc_t flowing from step t+1
-  ensure_shape(bwd_dz_, n, 4 * h);
+  bwd_dh_.reshape(n, h);        // dh_t: dZ·Whᵀ from step t+1, + grads
+  bwd_dc_next_.reshape(n, h);   // dL/dc_t flowing from step t+1
+  bwd_dz_.reshape(n, 4 * h);
   bwd_dh_.set_zero();
   bwd_dc_next_.set_zero();
   // Every step below multiplies dZ by Wxᵀ and Whᵀ, so both are packed
@@ -205,6 +203,8 @@ Tensor3 Lstm::backward(const Tensor3& grad_output, bool input_grad) {
 
   for (std::size_t ti = t_len; ti-- > 0;) {
     const StepCache& sc = cache_[ti];
+    const Matrix& h_prev = ti > 0 ? cache_[ti - 1].h : zero_state_;
+    const Matrix& c_prev = ti > 0 ? cache_[ti - 1].c : zero_state_;
 
     // dh = dh_next + incoming grad for this step (bwd_dh_ already holds
     // dZ·Whᵀ from the step above; the last step starts from zero).
@@ -221,12 +221,12 @@ Tensor3 Lstm::backward(const Tensor3& grad_output, bool input_grad) {
     // dc and the gate pre-activation gradients, written straight into the
     // fused dZ [N, 4H] blocks; bwd_dc_next_ turns into dc ⊙ f on the way.
     for (std::size_t r = 0; r < n; ++r) {
-      lstm_grad_row(sc.z.row(r), sc.c_prev.row(r), sc.c_tanh.row(r),
+      lstm_grad_row(sc.z.row(r), c_prev.row(r), sc.c_tanh.row(r),
                     bwd_dh_.row(r), bwd_dc_next_.row(r), bwd_dz_.row(r), h);
     }
 
-    matmul_tn_acc(sc.x, bwd_dz_, gwx_);       // gWx += xᵀ · dZ
-    matmul_tn_acc(sc.h_prev, bwd_dz_, gwh_);  // gWh += h_prevᵀ · dZ
+    matmul_tn_acc(sc.x, bwd_dz_, gwx_);    // gWx += xᵀ · dZ
+    matmul_tn_acc(h_prev, bwd_dz_, gwh_);  // gWh += h_prevᵀ · dZ
     bwd_dz_.col_sums_into(bwd_col_sums_);
     gb_ += bwd_col_sums_;
 
@@ -242,6 +242,16 @@ Tensor3 Lstm::backward(const Tensor3& grad_output, bool input_grad) {
     }
   }
   return dx;
+}
+
+std::vector<const float*> Lstm::cache_storage() const {
+  std::vector<const float*> out;
+  for (const StepCache& sc : cache_) {
+    for (const Matrix* m : {&sc.x, &sc.h, &sc.c, &sc.z, &sc.c_tanh}) {
+      out.push_back(m->data());
+    }
+  }
+  return out;
 }
 
 std::vector<ParamRef> Lstm::params() {

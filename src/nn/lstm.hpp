@@ -38,6 +38,11 @@ class Lstm : public Layer {
   std::size_t units() const { return units_; }
   bool return_sequences() const { return return_sequences_; }
 
+  /// The storage behind the step caches of the last forward, step by step
+  /// (x, h, c, z and tanh(c) of each).  A batch no larger than the largest
+  /// one seen runs in these same blocks.
+  std::vector<const float*> cache_storage() const;
+
  private:
   void ensure_built(std::size_t input_features);
 
@@ -50,26 +55,29 @@ class Lstm : public Layer {
   Matrix b_;   // [1, 4H]
   Matrix gwx_, gwh_, gb_;
 
-  // Per-timestep caches from the last forward pass.  Gate activations live
-  // fused in `z` ([i | f | g | o] blocks of the pre-activation, activated
-  // in place); backward reads them through col_block views instead of
-  // materializing per-gate copies.  Caches are reused across steps and
-  // epochs — same-shape reassignment never reallocates.
+  // Per-timestep caches from the last forward pass.  Step t's cache is the
+  // state itself: it holds h_t and c_t, which step t + 1 reads as its
+  // h_prev and c_prev (step 0 reads zero_state_), and BPTT reads them
+  // back the same way.  Gate activations live fused in `z` ([i | f | g | o]
+  // blocks of the pre-activation, activated in place).  Every buffer
+  // here keeps its storage across batch sizes (Matrix::reshape), so a
+  // ragged last batch or a one-window predict runs in the blocks of the
+  // largest batch seen.
   struct StepCache {
     Matrix x;       // [N, in]
-    Matrix h_prev;  // [N, H]
-    Matrix c_prev;  // [N, H]
+    Matrix h;       // h_t, [N, H]
+    Matrix c;       // c_t, [N, H]
     Matrix z;       // [N, 4H] activated gates, fused
     Matrix c_tanh;  // tanh(c_t), [N, H]
   };
   std::vector<StepCache> cache_;
+  Matrix zero_state_;  // [N, H] zeros: h and c before step 0
   std::size_t cached_n_ = 0;
   std::size_t cached_t_ = 0;
   std::size_t cached_in_ = 0;
 
-  // Forward state + backward scratch, reused across calls so the steady
-  // state allocates nothing.
-  Matrix h_state_, c_state_;              // [N, H]
+  // Backward scratch, reused across calls so the steady state allocates
+  // nothing.
   Matrix bwd_dh_, bwd_dc_next_;           // [N, H]
   Matrix bwd_dz_;                         // [N, 4H]
   Matrix bwd_dx_step_;                    // [N, in]

@@ -1,9 +1,9 @@
-// LSTM gate kernels shared by training (nn::Lstm::forward) and serving
-// (forecast::Engine): a clamped rational tanh, sigmoid through the
-// half-angle identity, and the fused gate activation + cell update of a
-// step's rows (lstm_cell_rows).  Both callers run that one row loop, so a
-// training-path forward and an engine score produce the same bits
-// (DESIGN.md §8, §13).
+// LSTM step kernels shared by training (nn::Lstm::forward) and serving
+// (forecast::Engine): the z-init b + x·Wx (fused_init_z), a clamped
+// rational tanh, sigmoid through the half-angle identity, and the fused
+// gate activation + cell update of a step's rows (lstm_cell_rows).  Both
+// callers run these, so a training-path forward and an engine score
+// produce the same bits (DESIGN.md §8, §13).
 //
 // tanh is the odd rational P13(x)/Q6(x) on [-7.905, 7.905] (the classic
 // single-precision minimax fit several inference runtimes use; |err| is a
@@ -23,7 +23,38 @@
 #include <immintrin.h>
 #endif
 
+#include "tensor/matrix.hpp"
+
 namespace evfl::nn {
+
+/// z = b + x·Wx for the `rows` rows of an LSTM step: row r's inputs start
+/// at x + r·xstride and its pre-activations at z + r·zstride; b and each of
+/// Wx's `in` rows (at wx + f·cols) hold `cols` floats, and all `cols`
+/// columns of z are written.  Every element starts from its bias and takes
+/// one fused multiply-add per input in ascending order, the sequence of a
+/// bias copy followed by tensor::matmul_acc.  With one input that is a
+/// single pass, z = fma(x, wx, b): at 32 rows and 4H = 200 it took 395 ns
+/// where the copy and the product took 732.  Wider inputs run the copy
+/// and the product, since a fused loop over 25 or 50 inputs took 4.9-5.7x
+/// their time at 32 rows (DESIGN.md §8).
+inline void fused_init_z(float* z, std::size_t zstride, const float* x,
+                         std::size_t xstride, std::size_t rows, std::size_t in,
+                         const float* b, const float* wx, std::size_t cols) {
+  if (in == 1) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      float* zr = z + r * zstride;
+      const float xv = x[r * xstride];
+      for (std::size_t c = 0; c < cols; ++c) zr[c] = std::fma(xv, wx[c], b[c]);
+    }
+    return;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy(b, b + cols, z + r * zstride);
+  }
+  tensor::matmul_acc(tensor::ConstMatView{x, rows, in, xstride},
+                     tensor::ConstMatView{wx, in, cols, cols},
+                     tensor::MatView{z, rows, cols, zstride});
+}
 
 namespace detail {
 constexpr float kTanhClamp = 7.90531110763549805f;
@@ -184,18 +215,19 @@ inline __m512i row_offsets(std::size_t stride) {
       _mm512_set1_epi32(static_cast<int>(stride)));
 }
 
-/// 16 elements of an LSTM step at column k: z, c, hs and ct are the rows'
-/// first elements; `za` reaches z's elements and `ca` those of c, hs and
-/// ct.  Each element runs lstm_cell_row's operations.
+/// 16 elements of an LSTM step at column k: z, cp, c, hs and ct are the
+/// rows' first elements; `za` reaches z's elements and `ca` those of cp,
+/// c, hs and ct.  Each element runs lstm_cell_row's operations.
 template <bool kStore, typename ZA, typename CA>
-inline void cell_step16(const ZA& za, const CA& ca, float* z, float* c,
-                        float* hs, float* ct, std::size_t h, std::size_t k) {
+inline void cell_step16(const ZA& za, const CA& ca, float* z, const float* cp,
+                        float* c, float* hs, float* ct, std::size_t h,
+                        std::size_t k) {
   const __m512 gi = sigmoid_fast16(za.load(z + k));
   const __m512 gf = sigmoid_fast16(za.load(z + h + k));
   const __m512 gg = tanh_fast16(za.load(z + 2 * h + k));
   const __m512 go = sigmoid_fast16(za.load(z + 3 * h + k));
   const __m512 cv =
-      _mm512_fmadd_ps(gf, ca.load(c + k), _mm512_mul_ps(gi, gg));
+      _mm512_fmadd_ps(gf, ca.load(cp + k), _mm512_mul_ps(gi, gg));
   const __m512 tc = tanh_fast16(cv);
   const __m512 hv = _mm512_mul_ps(go, tc);
   ca.store(c + k, cv);
@@ -217,13 +249,13 @@ namespace detail {
 
 /// Column k of lstm_cell_row's scalar tail.
 template <bool kStore>
-inline void cell_scalar(float* z, float* c, float* hs, float* ct,
-                        std::size_t h, std::size_t k) {
+inline void cell_scalar(float* z, const float* cp, float* c, float* hs,
+                        float* ct, std::size_t h, std::size_t k) {
   const float gi = sigmoid_fast(z[k]);
   const float gf = sigmoid_fast(z[h + k]);
   const float gg = tanh_fast(z[2 * h + k]);
   const float go = sigmoid_fast(z[3 * h + k]);
-  const float cv = std::fma(gf, c[k], gi * gg);
+  const float cv = std::fma(gf, cp[k], gi * gg);
   const float tc = tanh_fast(cv);
   const float hv = go * tc;
   c[k] = cv;
@@ -240,22 +272,24 @@ inline void cell_scalar(float* z, float* c, float* hs, float* ct,
 }  // namespace detail
 
 /// One row of an LSTM step.  `z` holds the row's pre-activations
-/// [i | f | g | o] (gate k at z + k·h); `c` is updated in place to
-/// c' = σ(f)·c + σ(i)·tanh(g) (one fused multiply-add), and
-/// h = σ(o)·tanh(c').  With kStore the activated gates overwrite z and
-/// tanh(c') goes to `ct` — the values BPTT reads; serving passes
-/// kStore = false and ct = nullptr.  Columns run 16 lanes at a time where
-/// the target has AVX-512F, then 8 (at most one group after the 16-lane
-/// ones), then one at a time; kTail = false stops after the last whole
-/// 8-lane group.
+/// [i | f | g | o] (gate k at z + k·h); from the previous cell state `cp`
+/// it writes c' = σ(f)·cp + σ(i)·tanh(g) (one fused multiply-add) to `c`
+/// and h = σ(o)·tanh(c') to `hs`.  `cp` may be `c` itself (an update in
+/// place, as serving runs it) or a separate row that is only read (the
+/// previous step's cache in training).  With kStore the activated gates
+/// overwrite z and tanh(c') goes to `ct` — the values BPTT reads; serving
+/// passes kStore = false and ct = nullptr.  Columns run 16 lanes at a
+/// time where the target has AVX-512F, then 8 (at most one group after
+/// the 16-lane ones), then one at a time; kTail = false stops after the
+/// last whole 8-lane group.
 template <bool kStore, bool kTail = true>
-inline void lstm_cell_row(float* z, float* c, float* hs, float* ct,
-                          std::size_t h) {
+inline void lstm_cell_row(float* z, const float* cp, float* c, float* hs,
+                          float* ct, std::size_t h) {
   std::size_t k = 0;
 #if defined(__AVX512F__)
   for (; k + 16 <= h; k += 16) {
     detail::cell_step16<kStore>(detail::Contiguous16{}, detail::Contiguous16{},
-                                z, c, hs, ct, h, k);
+                                z, cp, c, hs, ct, h, k);
   }
 #endif
 #if defined(__AVX2__) && defined(__FMA__)
@@ -265,7 +299,7 @@ inline void lstm_cell_row(float* z, float* c, float* hs, float* ct,
     const __m256 gg = tanh_fast8(_mm256_loadu_ps(z + 2 * h + k));
     const __m256 go = sigmoid_fast8(_mm256_loadu_ps(z + 3 * h + k));
     const __m256 cv =
-        _mm256_fmadd_ps(gf, _mm256_loadu_ps(c + k), _mm256_mul_ps(gi, gg));
+        _mm256_fmadd_ps(gf, _mm256_loadu_ps(cp + k), _mm256_mul_ps(gi, gg));
     const __m256 tc = tanh_fast8(cv);
     const __m256 hv = _mm256_mul_ps(go, tc);
     _mm256_storeu_ps(c + k, cv);
@@ -280,7 +314,7 @@ inline void lstm_cell_row(float* z, float* c, float* hs, float* ct,
   }
 #endif
   if constexpr (kTail) {
-    for (; k < h; ++k) detail::cell_scalar<kStore>(z, c, hs, ct, h, k);
+    for (; k < h; ++k) detail::cell_scalar<kStore>(z, cp, c, hs, ct, h, k);
   }
 }
 
@@ -302,26 +336,28 @@ constexpr bool pair_rows(std::size_t h, bool tail) {
 
 /// Two adjacent rows where h % 16 >= 8: each row's 16-lane groups, then
 /// the two rows' 8-lane groups as the halves of one vector, then (kTail)
-/// each row's scalar tail.  The rows' z are zstride apart and their c, h
-/// and tanh(c) h apart.
+/// each row's scalar tail.  The rows' z are zstride apart and their cp,
+/// c, h and tanh(c) h apart.
 template <bool kStore, bool kTail>
-inline void cell_pair(float* z, std::size_t zstride, float* c, float* hs,
-                      float* ct, std::size_t h) {
+inline void cell_pair(float* z, std::size_t zstride, const float* cp,
+                      float* c, float* hs, float* ct, std::size_t h) {
   float* z1 = z + zstride;
+  const float* cp1 = cp + h;
   float* c1 = c + h;
   float* hs1 = hs + h;
   float* ct1 = kStore ? ct + h : ct;
   const std::size_t k8 = h / 16 * 16;
   for (std::size_t k = 0; k < k8; k += 16) {
-    cell_step16<kStore>(Contiguous16{}, Contiguous16{}, z, c, hs, ct, h, k);
-    cell_step16<kStore>(Contiguous16{}, Contiguous16{}, z1, c1, hs1, ct1, h,
+    cell_step16<kStore>(Contiguous16{}, Contiguous16{}, z, cp, c, hs, ct, h,
                         k);
+    cell_step16<kStore>(Contiguous16{}, Contiguous16{}, z1, cp1, c1, hs1, ct1,
+                        h, k);
   }
-  cell_step16<kStore>(RowPair{zstride}, RowPair{h}, z, c, hs, ct, h, k8);
+  cell_step16<kStore>(RowPair{zstride}, RowPair{h}, z, cp, c, hs, ct, h, k8);
   if constexpr (kTail) {
     for (std::size_t k = k8 + 8; k < h; ++k) {
-      cell_scalar<kStore>(z, c, hs, ct, h, k);
-      cell_scalar<kStore>(z1, c1, hs1, ct1, h, k);
+      cell_scalar<kStore>(z, cp, c, hs, ct, h, k);
+      cell_scalar<kStore>(z1, cp1, c1, hs1, ct1, h, k);
     }
   }
 }
@@ -330,23 +366,23 @@ inline void cell_pair(float* z, std::size_t zstride, float* c, float* hs,
 /// each row pair's) whole 8-lane groups, then each of the h % 8 columns
 /// after them as one vector down the 16 rows.
 template <bool kStore>
-inline void cell_block16(float* z, std::size_t zstride, float* c, float* hs,
-                         float* ct, std::size_t h, const AcrossRows& zrows,
-                         const AcrossRows& crows) {
+inline void cell_block16(float* z, std::size_t zstride, const float* cp,
+                         float* c, float* hs, float* ct, std::size_t h,
+                         const AcrossRows& zrows, const AcrossRows& crows) {
   for (std::size_t r = 0; r < 16;) {
     float* ctr = kStore ? ct + r * h : ct;
     if (pair_rows(h, false)) {
-      cell_pair<kStore, false>(z + r * zstride, zstride, c + r * h,
-                               hs + r * h, ctr, h);
+      cell_pair<kStore, false>(z + r * zstride, zstride, cp + r * h,
+                               c + r * h, hs + r * h, ctr, h);
       r += 2;
     } else {
-      lstm_cell_row<kStore, false>(z + r * zstride, c + r * h, hs + r * h,
-                                   ctr, h);
+      lstm_cell_row<kStore, false>(z + r * zstride, cp + r * h, c + r * h,
+                                   hs + r * h, ctr, h);
       ++r;
     }
   }
   for (std::size_t k = h / 8 * 8; k < h; ++k) {
-    cell_step16<kStore>(zrows, crows, z, c, hs, ct, h, k);
+    cell_step16<kStore>(zrows, crows, z, cp, c, hs, ct, h, k);
   }
 }
 
@@ -357,7 +393,8 @@ inline void cell_block16(float* z, std::size_t zstride, float* c, float* hs,
 /// `Sequential::predict` of the fleet leaf (H = 8, one row) by 2%.
 template <bool kStore>
 [[gnu::noinline]] std::size_t cell_rows_wide(float* z, std::size_t zstride,
-                                             float* c, float* hs, float* ct,
+                                             const float* cp, float* c,
+                                             float* hs, float* ct,
                                              std::size_t h,
                                              std::size_t rows) {
   std::size_t r = 0;
@@ -365,14 +402,15 @@ template <bool kStore>
     const AcrossRows zrows{row_offsets(zstride)};
     const AcrossRows crows{row_offsets(h)};
     for (; r + 16 <= rows; r += 16) {
-      cell_block16<kStore>(z + r * zstride, zstride, c + r * h, hs + r * h,
-                           kStore ? ct + r * h : ct, h, zrows, crows);
+      cell_block16<kStore>(z + r * zstride, zstride, cp + r * h, c + r * h,
+                           hs + r * h, kStore ? ct + r * h : ct, h, zrows,
+                           crows);
     }
   }
   if (pair_rows(h, true)) {
     for (; r + 2 <= rows; r += 2) {
-      cell_pair<kStore, true>(z + r * zstride, zstride, c + r * h, hs + r * h,
-                              kStore ? ct + r * h : ct, h);
+      cell_pair<kStore, true>(z + r * zstride, zstride, cp + r * h, c + r * h,
+                              hs + r * h, kStore ? ct + r * h : ct, h);
     }
   }
   return r;
@@ -384,7 +422,10 @@ template <bool kStore>
 
 /// `rows` rows of an LSTM step, the one row loop of Lstm::forward and the
 /// serving engine: row r's pre-activations start at z + r·zstride and its
-/// c, h and tanh(c) at c + r·h, hs + r·h and ct + r·h.  Every element runs
+/// previous cell state, c, h and tanh(c) at cp + r·h, c + r·h, hs + r·h
+/// and ct + r·h.  `cp` is only read, and may equal `c`: the engine updates
+/// its one c buffer in place, while training reads step t − 1's cache and
+/// writes step t's.  Every element runs
 /// lstm_cell_row's operations, so a row gets the same bits whichever of
 /// the paths below it takes.  Where the target has AVX-512F:
 ///  - with h % 8 != 0, whole blocks of 16 rows run as cell_block16, so the
@@ -394,16 +435,17 @@ template <bool kStore>
 ///    (cell_pair);
 /// and the rows left run lstm_cell_row alone.
 template <bool kStore>
-inline void lstm_cell_rows(float* z, std::size_t zstride, float* c, float* hs,
-                           float* ct, std::size_t h, std::size_t rows) {
+inline void lstm_cell_rows(float* z, std::size_t zstride, const float* cp,
+                           float* c, float* hs, float* ct, std::size_t h,
+                           std::size_t rows) {
   std::size_t r = 0;
 #if defined(__AVX512F__)
   if (rows >= 2) {
-    r = detail::cell_rows_wide<kStore>(z, zstride, c, hs, ct, h, rows);
+    r = detail::cell_rows_wide<kStore>(z, zstride, cp, c, hs, ct, h, rows);
   }
 #endif
   for (; r < rows; ++r) {
-    lstm_cell_row<kStore>(z + r * zstride, c + r * h, hs + r * h,
+    lstm_cell_row<kStore>(z + r * zstride, cp + r * h, c + r * h, hs + r * h,
                           kStore ? ct + r * h : ct, h);
   }
 }

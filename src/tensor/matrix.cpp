@@ -174,7 +174,7 @@ Matrix Matrix::col_sums() const {
 }
 
 void Matrix::col_sums_into(Matrix& out) const {
-  if (out.rows() != 1 || out.cols() != cols_) out = Matrix(1, cols_);
+  out.reshape(1, cols_);
   out.set_zero();
   float* dst = out.data();
   for (std::size_t r = 0; r < rows_; ++r) {

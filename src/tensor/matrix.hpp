@@ -106,6 +106,17 @@ class Matrix {
   void fill(float value);
   void set_zero() { fill(0.0f); }
 
+  /// Make this rows x cols, keeping the storage when the new shape fits in
+  /// it and reserving exactly rows·cols floats when it does not, so a
+  /// retained buffer that goes 32 → 20 → 32 rows allocates once.  The
+  /// contents are unspecified afterwards: callers that need zeros call
+  /// set_zero().
+  void reshape(std::size_t rows, std::size_t cols) {
+    reshape_storage(data_, rows * cols);
+    rows_ = rows;
+    cols_ = cols;
+  }
+
   bool same_shape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }

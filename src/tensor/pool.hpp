@@ -61,4 +61,16 @@ bool operator!=(const PoolAllocator<T>&, const PoolAllocator<U>&) {
 /// The storage type behind Matrix and Tensor3.
 using FloatVec = std::vector<float, PoolAllocator<float>>;
 
+/// Size `v` to n floats for a reshape: keep the storage when n fits in it,
+/// allocate exactly n when it does not (a block of the largest size the
+/// buffer has held, never resize's doubling).  Elements past the old size
+/// come out zero; the rest keep their values.
+inline void reshape_storage(FloatVec& v, std::size_t n) {
+  if (n > v.capacity()) {
+    v.clear();
+    v.reserve(n);
+  }
+  v.resize(n);
+}
+
 }  // namespace evfl::tensor

@@ -18,7 +18,7 @@ Matrix Tensor3::timestep(std::size_t t) const {
 
 void Tensor3::copy_timestep_into(std::size_t t, Matrix& dst) const {
   EVFL_ASSERT(t < t_, "timestep out of range");
-  if (dst.rows() != n_ || dst.cols() != f_) dst = Matrix(n_, f_);
+  dst.reshape(n_, f_);
   if (f_ == 1) {
     // One float per row: a strided loop, not a copy call per float.
     const float* src = data_.data() + t;
@@ -90,7 +90,7 @@ Matrix Tensor3::flatten_rows() const {
 }
 
 void Tensor3::flatten_rows_into(Matrix& dst) const {
-  if (dst.rows() != n_ * t_ || dst.cols() != f_) dst = Matrix(n_ * t_, f_);
+  dst.reshape(n_ * t_, f_);
   std::copy(data_.begin(), data_.end(), dst.data());
 }
 

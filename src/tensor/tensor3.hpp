@@ -39,10 +39,19 @@ class Tensor3 {
     return n_ == o.n_ && t_ == o.t_ && f_ == o.f_;
   }
 
+  /// Make this n x t x f with Matrix::reshape's storage rule: the storage
+  /// stays when the new shape fits in it, and the contents are unspecified.
+  void reshape(std::size_t n, std::size_t t, std::size_t f) {
+    reshape_storage(data_, n * t * f);
+    n_ = n;
+    t_ = t;
+    f_ = f;
+  }
+
   /// Copy out timestep t as an [batch x features] matrix.
   Matrix timestep(std::size_t t) const;
-  /// Copy timestep t into a pre-shaped [batch x features] matrix
-  /// (allocation-free when `dst` already has the right shape).
+  /// Copy timestep t into `dst`, reshaped to [batch x features]
+  /// (allocation-free when the shape fits in its storage).
   void copy_timestep_into(std::size_t t, Matrix& dst) const;
   /// Overwrite timestep t from an [batch x features] matrix.
   void set_timestep(std::size_t t, const Matrix& m);
@@ -57,7 +66,8 @@ class Tensor3 {
 
   /// Reinterpret as [(batch*time) x features] — same data, matrix view copy.
   Matrix flatten_rows() const;
-  /// flatten_rows into a pre-shaped matrix (allocation-free on reuse).
+  /// flatten_rows into `dst`, reshaped (allocation-free when the shape
+  /// fits in its storage).
   void flatten_rows_into(Matrix& dst) const;
   /// Inverse of flatten_rows for a known (n, t) split.
   static Tensor3 from_flat_rows(const Matrix& m, std::size_t n, std::size_t t);

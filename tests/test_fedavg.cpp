@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
 
 #include "common/error.hpp"
 #include "fl/weights.hpp"
@@ -183,6 +188,72 @@ TEST(FedAvg, ToFixedHandlesNonFiniteAndCap) {
   EXPECT_EQ(to_fixed(-std::numeric_limits<double>::infinity()),
             to_fixed(-kExactTermCap));
   EXPECT_EQ(to_fixed(1.0), static_cast<ExactTerm>(1) << 64);
+}
+
+/// The conversion to_fixed replaced: clamp, scale by 2^64 (exact), and
+/// the truncating cast.
+ExactTerm cast_to_fixed(double term) {
+  if (std::isnan(term)) return 0;
+  term = std::clamp(term, -kExactTermCap, kExactTermCap);
+  return static_cast<ExactTerm>(term * 18446744073709551616.0);
+}
+
+TEST(FedAvg, ToFixedMatchesTruncatingCast) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      kInf,
+      kExactTermCap,
+      std::nextafter(kExactTermCap, 0.0),
+      std::nextafter(kExactTermCap, kInf),
+      0.3,
+      1.0 / 3.0,
+  };
+  // Values just below, at and above 1; where term·2^64 crosses 1 (2^-64),
+  // 2^52 and 2^53 (the last places with a fraction to drop); and terms of
+  // 2^52 and 2^53 themselves.
+  for (const int e : {0, -64, -12, -11, 52, 53}) {
+    const double p = std::ldexp(1.0, e);
+    values.insert(values.end(),
+                  {std::nextafter(p, 0.0), p, std::nextafter(p, kInf),
+                   std::nextafter(std::nextafter(p, kInf), kInf)});
+  }
+  const std::size_t fixed = values.size();
+  for (std::size_t i = 0; i < fixed; ++i) values.push_back(-values[i]);
+  values.push_back(-0.0);
+
+  // About a million more: every exponent from far below 2^-64 to past the
+  // cap with random mantissas, and uniform draws over the capped range.
+  std::mt19937_64 gen(20240607);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t r = gen();
+    if (i % 4 == 3) {
+      values.push_back(std::ldexp(static_cast<double>(r >> 11), -53) * 2.0 *
+                           kExactTermCap - kExactTermCap);
+      continue;
+    }
+    const std::uint64_t exponent = 1023 - 80 + (r >> 53) % 124;  // to 2^43
+    values.push_back(std::bit_cast<double>((r & (std::uint64_t{1} << 63)) |
+                                           (exponent << 52) |
+                                           (gen() >> 12)));
+  }
+
+  std::size_t mismatches = 0;
+  double first = 0.0;
+  for (const double v : values) {
+    if (to_fixed(v) != cast_to_fixed(v)) {
+      if (mismatches++ == 0) first = v;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first at " << std::hexfloat << first;
+  EXPECT_EQ(to_fixed(std::numeric_limits<double>::quiet_NaN()),
+            static_cast<ExactTerm>(0));
+  EXPECT_EQ(to_fixed(-std::numeric_limits<double>::quiet_NaN()),
+            static_cast<ExactTerm>(0));
 }
 
 TEST(AggregationRule, ParseRoundTripsAndRejectsUnknown) {

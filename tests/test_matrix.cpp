@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "tensor/rng.hpp"
 
 namespace evfl::tensor {
@@ -28,6 +31,30 @@ TEST(Matrix, FillConstructor) {
   Matrix m(2, 2, 1.5f);
   EXPECT_EQ(m(0, 0), 1.5f);
   EXPECT_EQ(m(1, 1), 1.5f);
+}
+
+TEST(Matrix, ReshapeKeepsStorageWhenItFits) {
+  // A retained buffer through a ragged epoch and a one-row predict: every
+  // shape of at most 32 x 8 floats stays in the first block.
+  Matrix m(32, 8, 2.0f);
+  const float* block = m.data();
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {20, 8}, {32, 8}, {1, 8}, {4, 64}, {0, 5}, {7, 3}, {32, 8}}) {
+    m.reshape(rows, cols);
+    EXPECT_EQ(m.rows(), rows);
+    EXPECT_EQ(m.cols(), cols);
+    EXPECT_EQ(m.size(), rows * cols);
+    EXPECT_EQ(m.empty(), rows * cols == 0);
+    if (rows * cols > 0) {
+      EXPECT_EQ(m.data(), block) << rows << " x " << cols;
+    }
+  }
+  // A larger shape takes new storage, and set_zero gives zeros.
+  m.reshape(33, 8);
+  EXPECT_EQ(m.size(), 264u);
+  m.set_zero();
+  for (std::size_t i = 0; i < m.size(); ++i) EXPECT_EQ(m.data()[i], 0.0f);
 }
 
 TEST(Matrix, FromRows) {

@@ -172,15 +172,29 @@ float uniform01(std::uint64_t i) {
 
 TEST(IncrementalThreshold, ExactForSmallSamples) {
   // Below the five-marker warmup the estimator must be the exact
-  // interpolated percentile of the observed prefix.
-  IncrementalThreshold est({ThresholdKind::kPercentile, 75.0});
-  std::vector<float> seen;
-  for (float v : {0.4f, 0.9f, 0.1f, 0.6f}) {
-    est.observe(v);
-    seen.push_back(v);
-    EXPECT_FLOAT_EQ(est.value(), percentile(seen, 75.0));
+  // interpolated percentile of the observed prefix, at counts 1-4, for
+  // mixed, descending, ascending, equal and negative arrival orders.
+  for (const std::vector<float>& arrivals :
+       std::vector<std::vector<float>>{{0.4f, 0.9f, 0.1f, 0.6f},
+                                       {0.9f, 0.6f, 0.4f, 0.1f},
+                                       {0.1f, 0.4f, 0.6f, 0.9f},
+                                       {0.5f, 0.5f, 0.5f, 0.5f},
+                                       {0.2f, 0.2f, 0.7f, 0.2f},
+                                       {-0.2f, -0.7f, -0.1f, -0.5f},
+                                       {-0.3f, 0.8f, -0.9f, 0.0f}}) {
+    for (const double pct : {0.0, 50.0, 75.0, 100.0}) {
+      IncrementalThreshold est({ThresholdKind::kPercentile, pct});
+      std::vector<float> seen;
+      for (const float v : arrivals) {
+        est.observe(v);
+        seen.push_back(v);
+        EXPECT_FLOAT_EQ(est.value(), percentile(seen, pct))
+            << "pct " << pct << ", count " << seen.size() << ", first "
+            << arrivals[0];
+      }
+      EXPECT_EQ(est.count(), 4u);
+    }
   }
-  EXPECT_EQ(est.count(), 4u);
 }
 
 TEST(IncrementalThreshold, P2ConvergesToExactPercentile) {
